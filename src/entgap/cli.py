@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tmi", help="Max(I3) of negative-gap shots from a shot log")
     p.add_argument("--shots", type=Path, required=True)
-    p.add_argument("--threshold", type=float, default=-1e-3, help="keep shots with best_gap <= this")
+    p.add_argument("--threshold", type=float, default=-1e-3, help="keep shots with gap <= this")
     p.add_argument("--log-base", choices=("e", "2"), default="e")
     p.add_argument("--out", type=Path, required=True)
 
@@ -160,6 +160,17 @@ def _run_config_dict(args, extra: dict) -> dict:
     return base
 
 
+def _report_best(records, out: Path, what: str) -> int:
+    """Print the best objective over the shots; exit 1 with every failure note if none finished."""
+    finished = [r.best_gap for r in records if not r.failed]
+    if not finished:
+        for r in records:
+            print(f"seed {r.seed} failed: {r.note}", file=sys.stderr)
+        return 1
+    print(f"wrote {out}; best gap over {len(records)} {what}: {min(finished):+.6g}")
+    return 0
+
+
 def _cmd_optimize(args) -> int:
     cfg = _shot_config(args, args.dims, args.q, args.penalty, args.penalty_weight)
     adam = AdamConfig(learning_rate=args.lr, steps=args.steps)
@@ -176,9 +187,7 @@ def _cmd_optimize(args) -> int:
              "penalty_weight": args.penalty_weight},
         ),
     )
-    best = min(r.best_gap for r in records if not r.failed)
-    print(f"wrote {out}; best gap over {len(records)} shots: {best:+.6g}")
-    return 0
+    return _report_best(records, out, "shots")
 
 
 def _cmd_sweep(args) -> int:
@@ -246,12 +255,15 @@ def _cmd_tmi(args) -> int:
     records = read_shots_jsonl(args.shots)
     rows = []
     for rec in records:
-        if rec.failed or rec.best_gap > args.threshold:
+        if rec.failed:
             continue
+        # best_gap is the penalized objective on a --penalty log, so use the gap itself
         psi = mera_state_from_record(rec) if rec.family == "mera" else state_from_record(rec)
-        rows.append((rec.seed, rec.best_gap, max_tmi(psi, rec.partition, ecfg)))
+        g = gap(psi, rec.partition, rec.q_trained, ecfg)
+        if g <= args.threshold:
+            rows.append((rec.seed, g, max_tmi(psi, rec.partition, ecfg)))
     if not rows:
-        print(f"no shots with best_gap <= {args.threshold} in {args.shots}", file=sys.stderr)
+        print(f"no shots with gap <= {args.threshold} in {args.shots}", file=sys.stderr)
         return 1
     out = emit_reports(
         rows, "tmi_csv", args.out / "tmi.csv", "tmi",
@@ -272,9 +284,7 @@ def _cmd_mera(args) -> int:
         records, "shots_jsonl", args.out / "shots.jsonl", "mera",
         _run_config_dict(args, {"qubits": args.qubits, "q": args.q, "gradient": args.gradient}),
     )
-    best = min(r.best_gap for r in records if not r.failed)
-    print(f"wrote {out}; best gap over {len(records)} MERA shots: {best:+.6g}")
-    return 0
+    return _report_best(records, out, "MERA shots")
 
 
 def _cmd_bound_check(args) -> int:

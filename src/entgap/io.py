@@ -357,19 +357,19 @@ def read_curve_csv(path: Union[str, Path]) -> list[tuple[float, float]]:
 
 
 def write_tmi_csv(rows: Sequence[tuple[int, float, float]], path: Union[str, Path]) -> None:
-    """Rows of (seed, best_gap, max_i3), seed-ascending."""
+    """Rows of (seed, gap, max_i3), seed-ascending."""
     rows = sorted(rows, key=lambda r: r[0])
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["seed", "best_gap", "max_i3"])
-        for seed, best_gap, mi3 in rows:
-            w.writerow([int(seed), fmt12(best_gap), fmt12(mi3)])
+        w.writerow(["seed", "gap", "max_i3"])
+        for seed, g, mi3 in rows:
+            w.writerow([int(seed), fmt12(g), fmt12(mi3)])
 
 
 def read_tmi_csv(path: Union[str, Path]) -> list[tuple[int, float, float]]:
     with open(path, newline="") as f:
         return [
-            (int(r["seed"]), float(r["best_gap"]), float(r["max_i3"]))
+            (int(r["seed"]), float(r["gap"]), float(r["max_i3"]))
             for r in csv.DictReader(f)
         ]
 

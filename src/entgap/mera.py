@@ -15,7 +15,6 @@ never materialized.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,11 +24,13 @@ from .objective import (
     ObjectiveConfig,
     UTParams,
     _cached_state_objective,
+    _complex_to_real,
     _exp_adjoint,
     _exp_antihermitian,
+    _real_to_complex,
     matrix_from_params,
 )
-from .optimize import AdamConfig, ShotRecord, descend
+from .optimize import AdamConfig, ShotRecord, descend, failed_shot, map_shots
 from .states import Dims, PartitionSpec, QuditState
 
 GATE_DIM = 4
@@ -182,16 +183,11 @@ def _circuit_grad(layout: MeraLayout, gates, cotangent: np.ndarray, inputs) -> n
 
 
 def _flatten(params: MeraParams) -> np.ndarray:
-    ent = params.entries.reshape(-1)
-    out = np.empty(2 * ent.shape[0])
-    out[0::2] = ent.real
-    out[1::2] = ent.imag
-    return out
+    return _complex_to_real(params.entries.reshape(-1))
 
 
 def _unflatten(vec: np.ndarray, num_gates: int) -> MeraParams:
-    ent = vec[0::2] + 1j * vec[1::2]
-    return MeraParams(ent.reshape(num_gates, ENTRIES_PER_GATE))
+    return MeraParams(_real_to_complex(vec).reshape(num_gates, ENTRIES_PER_GATE))
 
 
 def mera_objective_value(layout: MeraLayout, params: MeraParams, cfg: ObjectiveConfig) -> float:
@@ -220,11 +216,7 @@ def mera_value_and_gradient(
         amps = _run_circuit(layout, gates, record=inputs)
         value, g_psi, _ = obj(amps)
         g_entries = _circuit_grad(layout, gates, g_psi, inputs)
-        flat = g_entries.reshape(-1)
-        grad = np.empty(2 * flat.shape[0])
-        grad[0::2] = flat.real
-        grad[1::2] = flat.imag
-        return value, grad
+        return value, _complex_to_real(g_entries.reshape(-1))
     if gradient != "fd":
         raise ValueError(f"gradient must be 'fd' or 'analytic', got {gradient!r}")
     x = _flatten(params)
@@ -283,19 +275,7 @@ def _mera_worker(args) -> ShotRecord:
     try:
         return run_mera_shot(layout, cfg, adam, seed, gradient)
     except Exception as exc:
-        return ShotRecord(
-            seed=int(seed),
-            dims=cfg.dims.sites,
-            partition=cfg.partition,
-            q_trained=cfg.q,
-            best_gap=float("inf"),
-            best_params=np.zeros(layout.num_entries, dtype=np.complex128),
-            steps_run=0,
-            objective_trace=np.zeros(0),
-            failed=True,
-            note=f"{type(exc).__name__}: {exc}",
-            family="mera",
-        )
+        return failed_shot(cfg, seed, exc, layout.num_entries, family="mera")
 
 
 def run_mera_search(
@@ -307,14 +287,7 @@ def run_mera_search(
     parallelism: int = 1,
 ) -> list[ShotRecord]:
     """Batched MERA shots, results in seed order."""
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("seeds must be non-empty")
-    jobs = [(layout, cfg, adam, s, gradient) for s in seeds]
-    if parallelism <= 1 or len(seeds) == 1:
-        return [_mera_worker(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(_mera_worker, jobs))
+    return map_shots(_mera_worker, [(layout, cfg, adam, s, gradient) for s in seeds], parallelism)
 
 
 def mera_state_from_record(record: ShotRecord) -> QuditState:

@@ -6,9 +6,11 @@ entries are the optimization variables.  The objective is
 
     gap = S(AA') - 1/2 * S_R^(q)(A:B)
 
-optionally plus a hinge penalty on the maximal tripartite mutual
-information, which is active only where monogamy of mutual information
-(I3 <= 0) fails.  Gradients are computed analytically by spectral calculus:
+optionally plus a hinge penalty on the maximal tripartite mutual information,
+active only where monogamy of mutual information (I3 <= 0) fails.  On the pure
+state all four I3 are one sum of seven entropies, each on the smaller side of
+its cut (:func:`entgap.entropy.pure_tmi_terms`), whose S_AA' term reuses the
+gap's own spectrum.  Gradients are computed analytically by spectral calculus:
 first-divided-difference (Daleckii-Krein) matrices propagate perturbations
 through the matrix exponential and the density-matrix square root, and
 entropy terms differentiate to spectral functions of their density
@@ -20,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
 from math import prod
 from typing import Sequence
 
 import numpy as np
 
 from .entropy import DEFAULT_ENTROPY, EntropyConfig, clipped_eigenvalues, max_tmi, von_neumann
+from .entropy import pure_tmi_terms
 from .reflect import reflected_entropy
 from .states import (
     DensityMatrix,
@@ -119,6 +121,18 @@ def _exp_adjoint(theta: np.ndarray, v: np.ndarray, g_u: np.ndarray) -> np.ndarra
     b = v.conj().T @ g_u @ v
     g_h = v @ (b * phi.conj()) @ v.conj().T
     return 0.5 * (g_h + g_h.conj().T)
+
+
+def _complex_to_real(entries: np.ndarray) -> np.ndarray:
+    """Interleaved (real, imaginary) pairs of a complex vector."""
+    out = np.empty(2 * entries.shape[0])
+    out[0::2] = entries.real
+    out[1::2] = entries.imag
+    return out
+
+
+def _real_to_complex(vec: np.ndarray) -> np.ndarray:
+    return vec[0::2] + 1j * vec[1::2]
 
 
 def unitary_from_params(p: UTParams) -> np.ndarray:
@@ -277,21 +291,9 @@ class _StateObjective:
         self.penalty = bool(config.penalty_enabled)
         self.weight = float(config.penalty_weight)
         if self.penalty:
-            parties = (part.a_sites, part.b_sites, part.ap_sites, part.bp_sites)
-            self.triples = list(combinations(range(4), 3))
-            subsets: dict[tuple[int, ...], _Marginal] = {}
-            self.triple_terms = []
-            for tri in self.triples:
-                # I3 = sum singles - sum pairs + triple, all von Neumann
-                terms = []
-                for r, sign in [(1, 1.0), (2, -1.0), (3, 1.0)]:
-                    for comb in combinations(tri, r):
-                        key = tuple(sorted(i for p in comb for i in parties[p]))
-                        if key not in subsets:
-                            subsets[key] = _Marginal(sites, key)
-                        terms.append((key, sign))
-                self.triple_terms.append(terms)
-            self.subsets = subsets
+            # the last term, -S_AA', is the gap's own S(AA')
+            terms = pure_tmi_terms(config.dims, part)[:-1]
+            self.i3_terms = [(_Marginal(sites, keep), sign) for keep, sign in terms]
 
     def __call__(self, amps: np.ndarray, want_grad: bool = True):
         """Return (value, grad_wrt_amps or None, extras dict)."""
@@ -321,25 +323,25 @@ class _StateObjective:
 
         pen_cache = None
         if self.penalty:
-            ent: dict[tuple[int, ...], tuple[float, np.ndarray, np.ndarray, np.ndarray]] = {}
-            for key, marg in self.subsets.items():
+            m_i3, pen = -s_aap, []
+            for marg, sign in self.i3_terms:
                 rho_s, t_s = marg.forward(amps)
                 lam_s, w_s = np.linalg.eigh(rho_s)
                 s_val, g_s = _entropy_grad_diag(lam_s, 1.0, clip, log_div)
-                ent[key] = (s_val, g_s, w_s, t_s)
-            i3 = [sum(sign * ent[key][0] for key, sign in terms) for terms in self.triple_terms]
-            best = int(np.argmax(i3))
-            m_i3 = i3[best]
+                m_i3 += sign * s_val
+                pen.append((marg, sign * g_s, w_s, t_s))
             extras["max_tmi"] = m_i3
             if m_i3 > 0.0:
                 value = value + self.weight * m_i3
-                pen_cache = (best, ent)
+                pen_cache = pen
 
         if not np.isfinite(value):
             raise FloatingPointError(f"objective is not finite: {value!r}")
         if not want_grad:
             return value, None, extras
 
+        if pen_cache is not None:
+            g1 = (1.0 - self.weight) * g1  # the hinge's -weight * S_AA'
         g_rho1 = (w1 * g1) @ w1.conj().T
         g_psi = self.marg_aap.backward(g_rho1, t1)
 
@@ -352,11 +354,9 @@ class _StateObjective:
         g_psi = g_psi + self.marg_ab.backward(g_rho_ab, t_ab)
 
         if pen_cache is not None:
-            best, ent = pen_cache
-            for key, sign in self.triple_terms[best]:
-                _, g_s, w_s, t_s = ent[key]
-                g_rho_s = (w_s * (self.weight * sign * g_s)) @ w_s.conj().T
-                g_psi = g_psi + self.subsets[key].backward(g_rho_s, t_s)
+            for marg, g_s, w_s, t_s in pen_cache:
+                g_rho_s = (w_s * (self.weight * g_s)) @ w_s.conj().T
+                g_psi = g_psi + marg.backward(g_rho_s, t_s)
 
         if not np.all(np.isfinite(g_psi)):
             raise FloatingPointError("state-space gradient is not finite")
@@ -401,9 +401,7 @@ def objective_value_and_gradient(
     g_h = _exp_adjoint(theta, v, g_u)
     rows, cols = _ut_indices(p.d)
     g_entries = -2j * g_h[rows, cols]
-    grad = np.empty(2 * g_entries.shape[0], dtype=np.float64)
-    grad[0::2] = g_entries.real
-    grad[1::2] = g_entries.imag
+    grad = _complex_to_real(g_entries)
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError("parameter gradient is not finite")
     return value, grad, extras

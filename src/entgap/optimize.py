@@ -8,8 +8,11 @@ parallelism, so (seed, configs) fully determine each record.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -18,6 +21,8 @@ from .entropy import EntropyConfig, entropy_from_spectrum, hermitian_spectrum, v
 from .objective import (
     ObjectiveConfig,
     UTParams,
+    _complex_to_real,
+    _real_to_complex,
     gap,
     objective_value_and_gradient,
     two_party_density,
@@ -117,17 +122,6 @@ def initial_params(d: int, rng: np.random.Generator) -> UTParams:
     return UTParams(d, (raw[0::2] + 1j * raw[1::2]) / np.sqrt(2.0 * d))
 
 
-def _complex_to_real(entries: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * entries.shape[0])
-    out[0::2] = entries.real
-    out[1::2] = entries.imag
-    return out
-
-
-def _real_to_complex(vec: np.ndarray) -> np.ndarray:
-    return vec[0::2] + 1j * vec[1::2]
-
-
 ValueGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
@@ -187,23 +181,38 @@ def run_shot(cfg: ObjectiveConfig, adam: AdamConfig, seed: int) -> ShotRecord:
     )
 
 
+def failed_shot(
+    cfg: ObjectiveConfig, seed: int, exc: Exception, num_entries: int, family: str = "unitary"
+) -> ShotRecord:
+    """The record of a shot whose worker raised: no steps, infinite objective, the error as note."""
+    return ShotRecord(
+        seed=int(seed),
+        dims=cfg.dims.sites,
+        partition=cfg.partition,
+        q_trained=cfg.q,
+        best_gap=float("inf"),
+        best_params=np.zeros(num_entries, dtype=np.complex128),
+        steps_run=0,
+        objective_trace=np.zeros(0),
+        failed=True,
+        note=f"{type(exc).__name__}: {exc}",
+        family=family,
+    )
+
+
 def _shot_worker(args) -> ShotRecord:
     cfg, adam, seed = args
     try:
         return run_shot(cfg, adam, seed)
     except Exception as exc:  # record the failure, keep the batch going
-        return ShotRecord(
-            seed=int(seed),
-            dims=cfg.dims.sites,
-            partition=cfg.partition,
-            q_trained=cfg.q,
-            best_gap=float("inf"),
-            best_params=np.zeros(UTParams.num_entries(cfg.dims.total), dtype=np.complex128),
-            steps_run=0,
-            objective_trace=np.zeros(0),
-            failed=True,
-            note=f"{type(exc).__name__}: {exc}",
-        )
+        return failed_shot(cfg, seed, exc, UTParams.num_entries(cfg.dims.total))
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one thread for numpy's bundled OpenBLAS, a no-op without it."""
+    for lib in Path(np.__file__).parent.with_name("numpy.libs").glob("libscipy_openblas64_*.so"):
+        with contextlib.suppress(OSError, AttributeError):
+            ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_(ctypes.c_int(1))
 
 
 def run_batch(
@@ -213,14 +222,17 @@ def run_batch(
     parallelism: int = 1,
 ) -> list[ShotRecord]:
     """Independent shots for every seed, results in seed order."""
-    seeds = list(seeds)
-    if not seeds:
+    return map_shots(_shot_worker, [(cfg, adam, s) for s in seeds], parallelism)
+
+
+def map_shots(worker: Callable, jobs: list, parallelism: int) -> list[ShotRecord]:
+    """``worker`` over the jobs, in order; in one-BLAS-thread workers when parallelism > 1."""
+    if not jobs:
         raise ValueError("seeds must be non-empty")
-    jobs = [(cfg, adam, s) for s in seeds]
-    if parallelism <= 1 or len(seeds) == 1:
-        return [_shot_worker(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(_shot_worker, jobs))
+    if parallelism <= 1 or len(jobs) == 1:
+        return [worker(j) for j in jobs]
+    with ProcessPoolExecutor(max_workers=parallelism, initializer=_one_blas_thread) as pool:
+        return list(pool.map(worker, jobs))
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,9 @@ from .states import DensityMatrix, Dims, QuditState, partial_trace
 
 @dataclass(frozen=True)
 class CanonicalPurification:
-    """Purified state over (A, B, A', B') plus the dims it was built from."""
+    """Purified state over (A, B, A', B')."""
 
     state: QuditState
-    source_dims: Dims
 
 
 def sqrt_density(rho: DensityMatrix, clip_eps: float = DEFAULT_ENTROPY.clip_eps) -> np.ndarray:
@@ -44,11 +43,6 @@ def sqrt_density(rho: DensityMatrix, clip_eps: float = DEFAULT_ENTROPY.clip_eps)
     return 0.5 * (x + x.conj().T)
 
 
-def purification_amplitudes(sqrt_rho: np.ndarray) -> np.ndarray:
-    """Flatten sqrt(rho) into the (A, B, A', B') amplitude vector."""
-    return sqrt_rho.reshape(-1)
-
-
 def canonical_purification(rho_ab: DensityMatrix) -> CanonicalPurification:
     """Canonical purification of a two-party density matrix.
 
@@ -58,10 +52,10 @@ def canonical_purification(rho_ab: DensityMatrix) -> CanonicalPurification:
     if len(rho_ab.dims) != 2:
         raise ValueError(f"expected a two-party density matrix, got dims {rho_ab.dims.sites}")
     da, db = rho_ab.dims.sites
-    amps = purification_amplitudes(sqrt_density(rho_ab))
+    amps = sqrt_density(rho_ab).reshape(-1)
     amps = amps / np.linalg.norm(amps)
     state = QuditState(Dims((da, db, da, db)), amps)
-    return CanonicalPurification(state, rho_ab.dims)
+    return CanonicalPurification(state)
 
 
 def reflected_entropy(

@@ -10,13 +10,21 @@ from entgap.entropy import (
     hermitian_spectrum,
     max_tmi,
     mutual_info,
+    pure_tmi_terms,
     renyi,
     tmi,
     von_neumann,
 )
+from entgap.objective import (
+    ObjectiveConfig,
+    UTParams,
+    objective_value_and_gradient,
+    state_from_params,
+)
 from entgap.states import (
     DensityMatrix,
     Dims,
+    PartitionSpec,
     QuditState,
     default_partition,
     partial_trace,
@@ -264,6 +272,60 @@ def test_qubits6_counterexample_satisfies_mmi_on_every_qubit_triple():
     vals = [reference_tmi(psi, (i,), (j,), (k,)) for i, j, k in combinations(range(6), 3)]
     assert len(vals) == 20
     assert max(vals) < 0.0
+
+
+QUBITS6_SPLIT = PartitionSpec((0, 1), (2,), (3, 4), (5,))
+
+
+@pytest.mark.parametrize(
+    "sites,part",
+    [((2, 2, 2, 2), None), ((3, 3, 2, 2), None), ((4, 4, 2, 2), None), ((3, 3, 3, 3), None),
+     ((2,) * 6, QUBITS6_SPLIT)],
+)
+def test_pure_state_max_tmi_matches_four_triple_oracle(rng, sites, part):
+    # the hot-path and reference seven-entropy I3 against the max over the
+    # four triples of the loop-trace oracle
+    dims = Dims(sites)
+    part = part or default_partition(dims)
+    cfg = ObjectiveConfig(dims, part, penalty_enabled=True)
+    n = UTParams.num_entries(dims.total)
+    raw = rng.standard_normal(2 * n)
+    p = UTParams(dims.total, (raw[0::2] + 1j * raw[1::2]) / np.sqrt(2.0 * dims.total))
+    psi = state_from_params(p, cfg)
+    parties = (part.a_sites, part.b_sites, part.ap_sites, part.bp_sites)
+    ref = max(reference_tmi(psi, *t) for t in combinations(parties, 3))
+    _, _, extras = objective_value_and_gradient(p, cfg, want_grad=False)
+    assert abs(extras["max_tmi"] - ref) < 1e-9
+    assert abs(max_tmi(psi, part) - ref) < 1e-9
+
+
+def test_pure_tmi_terms_take_the_smaller_side():
+    # S_AB is taken on A'B' at 3,3,2,2; ties keep the region itself
+    terms = pure_tmi_terms(Dims((3, 3, 2, 2)), default_partition(Dims((3, 3, 2, 2))))
+    assert terms == [((0,), 1.0), ((1,), 1.0), ((2,), 1.0), ((3,), 1.0),
+                     ((2, 3), -1.0), ((0, 3), -1.0), ((0, 2), -1.0)]
+    # S_AA' (16x16) is taken on BB' (4x4) for two-qubit A and A'
+    terms = pure_tmi_terms(Dims((2,) * 6), QUBITS6_SPLIT)
+    assert terms[-1] == ((2, 5), -1.0)
+    assert terms[4] == ((0, 1, 2), -1.0)
+
+
+def test_max_tmi_makes_seven_partial_traces(monkeypatch, rng):
+    import entgap.entropy
+    import entgap.states
+
+    keeps = []
+    real = entgap.states.partial_trace
+
+    def counting(state, keep):
+        keeps.append(tuple(keep))
+        return real(state, keep)
+
+    monkeypatch.setattr(entgap.states, "partial_trace", counting)
+    monkeypatch.setattr(entgap.entropy, "partial_trace", counting)
+    psi = random_state(Dims((3, 3, 2, 2)), rng)
+    max_tmi(psi, default_partition(psi.dims))
+    assert len(keeps) == 7
 
 
 def test_max_tmi_bundled_violation_state():

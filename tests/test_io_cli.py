@@ -20,11 +20,11 @@ from entgap.io import (
     write_shots_jsonl,
     write_state_file,
 )
-from entgap.objective import ObjectiveConfig
-from entgap.optimize import AdamConfig, SweepRecord, run_batch
+from entgap.objective import ObjectiveConfig, UTParams, gap
+from entgap.optimize import AdamConfig, ShotRecord, SweepRecord, run_batch, state_from_record
 from entgap.states import Dims, QuditState, default_partition
 
-from conftest import fixture_path, random_state
+from conftest import antihermitian_to_params, fixture_path, load_fixture_state, random_state
 
 
 def small_records(steps=60, seeds=(0, 1)):
@@ -215,6 +215,59 @@ def test_cli_optimize_and_tmi_flow(tmp_path):
     rows = read_tmi_csv(out / "tmi.csv")
     assert len(rows) == 1
     assert rows[0][2] < 0.0  # found states carry negative Max(I3)
+
+
+def test_cli_tmi_filters_on_the_rebuilt_gap(tmp_path):
+    # best_gap is the logged objective (penalized under --penalty), not the gap:
+    # a +1.0 record holding the violating fixture must be kept with its true
+    # gap, and a -1.0 record holding the uniform (product) state dropped
+    psi, part, _ = load_fixture_state("violation_3322.json")
+    dims = psi.dims
+
+    def record(seed, best_gap, entries):
+        return ShotRecord(seed=seed, dims=dims.sites, partition=part, q_trained=1.0,
+                          best_gap=best_gap, best_params=entries, steps_run=1,
+                          objective_trace=np.array([best_gap]))
+
+    # exp(i pi v v^dag) is the Householder reflection taking the uniform state
+    # to the fixture (up to a global phase)
+    chi = np.full(dims.total, 1.0 / np.sqrt(dims.total))
+    y = psi.amplitudes * np.exp(-1j * np.angle(np.vdot(chi, psi.amplitudes)))
+    v = (chi - y) / np.linalg.norm(chi - y)
+    fixture_params = antihermitian_to_params(1j * np.pi * np.outer(v, v.conj())).entries
+    uniform_params = np.zeros(UTParams.num_entries(dims.total), dtype=np.complex128)
+    shots = tmp_path / "shots.jsonl"
+    write_shots_jsonl([record(3, 1.0, fixture_params), record(4, -1.0, uniform_params)], shots)
+    rebuilt = state_from_record(read_shots_jsonl(shots)[0])
+    want = gap(rebuilt, part, 1.0)
+    assert abs(want - gap(psi, part, 1.0)) < 1e-9 and want < -1e-3
+
+    for base, div in (("e", 1.0), ("2", math.log(2.0))):
+        out = tmp_path / base
+        assert main(["tmi", "--shots", str(shots), "--log-base", base, "--out", str(out)]) == 0
+        rows = read_tmi_csv(out / "tmi.csv")
+        assert [r[0] for r in rows] == [3]
+        assert abs(rows[0][1] - want / div) < 1e-12
+        assert rows[0][2] < 0.0
+
+
+@pytest.mark.parametrize(
+    "argv,target",
+    [(["optimize", "--dims", "2,2,2,2"], "entgap.optimize.objective_value_and_gradient"),
+     (["mera", "--qubits", "8", "--gradient", "analytic"], "entgap.mera.mera_value_and_gradient")],
+)
+def test_cli_every_shot_failed_exits_1_with_notes(tmp_path, monkeypatch, capsys, argv, target):
+    def blow_up(*args, **kwargs):
+        raise FloatingPointError("objective is not finite: nan")
+
+    monkeypatch.setattr(target, blow_up)
+    rc = main(argv + ["--seeds", "2", "--steps", "5", "--out", str(tmp_path)])
+    assert rc == 1
+    recs = read_shots_jsonl(tmp_path / "shots.jsonl")
+    assert [(r.seed, r.failed) for r in recs] == [(0, True), (1, True)]
+    err = capsys.readouterr().err
+    for seed in (0, 1):
+        assert f"seed {seed} failed: objective is not finite: nan" in err
 
 
 def test_cli_curve_from_fixture(tmp_path):

@@ -234,17 +234,49 @@ def test_gradient_vector_length(rng):
     assert g.shape == (16 * 17,)
 
 
-def test_penalized_gradient_matches_fd_hinge_active(rng):
-    # steer to a GHZ-like region where Max(I3) ~ ln2 > 0 so the hinge is on
-    dims = Dims((2, 2, 2, 2))
+def _check_penalized_gradient_hinge_active(sites, rng):
+    # steer to a GHZ-like region where Max(I3) ~ ln2 > 0 so the hinge is on;
+    # on qutrits the GHZ state lives in their first two levels
+    dims = Dims(sites)
     cfg = ObjectiveConfig(dims, default_partition(dims), q=1.0, penalty_enabled=True)
-    p0 = params_mapping_uniform_to(ghz(4).amplitudes)
-    noise = random_params(16, rng).entries * 0.05
-    p = UTParams(16, p0.entries + noise)
+    target = np.zeros(dims.total, dtype=np.complex128)
+    target[0] = target[np.ravel_multi_index((1,) * len(sites), sites)] = 1.0 / np.sqrt(2.0)
+    p0 = params_mapping_uniform_to(target)
+    noise = random_params(dims.total, rng).entries * 0.05
+    p = UTParams(dims.total, p0.entries + noise)
     value, g, extras = objective_value_and_gradient(p, cfg)
     assert extras["max_tmi"] > 0.01
     assert value > extras["gap"]
     assert grad_close(g, fd_gradient(p, cfg))
+
+
+def test_penalized_gradient_matches_fd_hinge_active(rng):
+    _check_penalized_gradient_hinge_active((2, 2, 2, 2), rng)
+
+
+def test_penalized_gradient_matches_fd_hinge_active_3322(rng):
+    # here the cuts are unequal: the penalty's S_AB is taken on A'B'
+    _check_penalized_gradient_hinge_active((3, 3, 2, 2), rng)
+
+
+def test_eigh_calls_per_step_3322(monkeypatch, rng):
+    # 4 eigh for the exp and the gap; the penalty adds 6, none larger than rho_AA'
+    sizes = []
+    real = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    dims = Dims((3, 3, 2, 2))
+    p = random_params(36, rng)
+    for penalty, want in [(False, 4), (True, 10)]:
+        sizes.clear()
+        cfg = ObjectiveConfig(dims, default_partition(dims), penalty_enabled=penalty)
+        objective_value_and_gradient(p, cfg)
+        assert len(sizes) == want
+    assert sorted(sizes[4:]) == [2, 2, 3, 3, 4, 6]
 
 
 def test_penalized_gradient_matches_fd_hinge_inactive(rng):

@@ -1,4 +1,6 @@
+import ctypes
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from entgap.optimize import (
     GapProfile,
     adam_step,
     derive_seeds,
+    map_shots,
     run_batch,
     run_shot,
     state_from_record,
@@ -127,6 +130,20 @@ def test_run_batch_parallelism_invariant():
     parallel = run_batch(cfg, adam, seeds, parallelism=2)
     assert [shot_to_dict(r) for r in serial] == [shot_to_dict(r) for r in parallel]
     assert [r.seed for r in parallel] == seeds
+
+
+OPENBLAS = sorted(Path(np.__file__).parent.with_name("numpy.libs").glob("libscipy_openblas64_*.so"))
+
+
+def _openblas_threads(_job=None) -> int:
+    return ctypes.CDLL(str(OPENBLAS[0])).scipy_openblas_get_num_threads64_()
+
+
+@pytest.mark.skipif(not OPENBLAS, reason="numpy does not bundle scipy-openblas")
+def test_shot_workers_run_one_blas_thread():
+    before = _openblas_threads()
+    assert map_shots(_openblas_threads, [0, 1], parallelism=2) == [1, 1]
+    assert _openblas_threads() == before  # the calling process keeps its threads
 
 
 def test_descend_aborts_on_nonfinite_objective():
