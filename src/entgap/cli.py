@@ -24,12 +24,7 @@ from .io import (
     read_shots_jsonl,
     verify_state_file,
 )
-from .mera import (
-    mera_layout,
-    mera_objective_config,
-    mera_state_from_record,
-    run_mera_search,
-)
+from .mera import mera_layout, mera_objective_config, run_mera_search
 from .objective import ObjectiveConfig, gap
 from .optimize import (
     AdamConfig,
@@ -118,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mera", help="gap search over the binary MERA family")
     p.add_argument("--qubits", type=int, choices=(8, 16), default=8)
     p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--gradient", choices=("fd", "analytic"), default="fd")
+    p.add_argument("--gradient", choices=("fd", "analytic"), default="analytic",
+                   help="fd: central finite differences, the slow oracle for analytic")
     _add_common(p, steps_default=2000)
 
     p = sub.add_parser("bound-check", help="fuzz the q>=2 lower bound on random states")
@@ -161,13 +157,13 @@ def _run_config_dict(args, extra: dict) -> dict:
 
 
 def _report_best(records, out: Path, what: str) -> int:
-    """Print the best objective over the shots; exit 1 with every failure note if none finished."""
+    """Print the best objective, named by ``what``; exit 1 with every failure note if none ran."""
     finished = [r.best_gap for r in records if not r.failed]
     if not finished:
         for r in records:
             print(f"seed {r.seed} failed: {r.note}", file=sys.stderr)
         return 1
-    print(f"wrote {out}; best gap over {len(records)} {what}: {min(finished):+.6g}")
+    print(f"wrote {out}; best {what}: {min(finished):+.6g}")
     return 0
 
 
@@ -187,7 +183,8 @@ def _cmd_optimize(args) -> int:
              "penalty_weight": args.penalty_weight},
         ),
     )
-    return _report_best(records, out, "shots")
+    objective = "objective (gap + MMI hinge)" if args.penalty else "gap"
+    return _report_best(records, out, f"{objective} over {len(records)} shots")
 
 
 def _cmd_sweep(args) -> int:
@@ -237,7 +234,7 @@ def _cmd_curve(args) -> int:
             print(f"no shot with seed {args.seed} in {args.shots}", file=sys.stderr)
             return 2
         rec = matches[0]
-        psi = mera_state_from_record(rec) if rec.family == "mera" else state_from_record(rec)
+        psi = state_from_record(rec)
         part = rec.partition
         label = f"{args.shots}:seed{rec.seed}"
     points = state_gap_curve(psi, args.q_grid, part, ecfg)
@@ -258,7 +255,7 @@ def _cmd_tmi(args) -> int:
         if rec.failed:
             continue
         # best_gap is the penalized objective on a --penalty log, so use the gap itself
-        psi = mera_state_from_record(rec) if rec.family == "mera" else state_from_record(rec)
+        psi = state_from_record(rec)
         g = gap(psi, rec.partition, rec.q_trained, ecfg)
         if g <= args.threshold:
             rows.append((rec.seed, g, max_tmi(psi, rec.partition, ecfg)))
@@ -284,7 +281,7 @@ def _cmd_mera(args) -> int:
         records, "shots_jsonl", args.out / "shots.jsonl", "mera",
         _run_config_dict(args, {"qubits": args.qubits, "q": args.q, "gradient": args.gradient}),
     )
-    return _report_best(records, out, "MERA shots")
+    return _report_best(records, out, f"gap over {len(records)} MERA shots")
 
 
 def _cmd_bound_check(args) -> int:

@@ -16,6 +16,7 @@ never materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +31,7 @@ from .objective import (
     _real_to_complex,
     matrix_from_params,
 )
-from .optimize import AdamConfig, ShotRecord, descend, failed_shot, map_shots
+from .optimize import AdamConfig, ShotRecord, descend_shot, guarded_shot, map_shots
 from .states import Dims, PartitionSpec, QuditState
 
 GATE_DIM = 4
@@ -200,14 +201,14 @@ def mera_value_and_gradient(
     layout: MeraLayout,
     params: MeraParams,
     cfg: ObjectiveConfig,
-    gradient: str = "fd",
+    gradient: str = "analytic",
     fd_step: float = 1e-6,
 ):
     """Objective value and real gradient over flattened gate parameters.
 
-    ``gradient="fd"`` uses central finite differences over every real
-    component (the default); ``"analytic"`` backpropagates through the
-    circuit and matches the finite-difference oracle to tolerance.
+    ``gradient="analytic"`` (the default) backpropagates through the circuit;
+    ``"fd"`` takes central finite differences over every real component, the
+    oracle the analytic gradient is tested against, and is 200-440x slower.
     """
     obj = _cached_state_objective(cfg)
     if gradient == "analytic":
@@ -245,37 +246,17 @@ def run_mera_shot(
     cfg: ObjectiveConfig,
     adam: AdamConfig,
     seed: int,
-    gradient: str = "fd",
+    gradient: str = "analytic",
 ) -> ShotRecord:
-    """One seeded MERA search shot; the protocol mirrors optimize.run_shot."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    p0 = initial_mera_params(layout, rng)
+    """One seeded MERA search shot, run by the same protocol as optimize.run_shot."""
 
     def vg(x: np.ndarray):
         return mera_value_and_gradient(layout, _unflatten(x, layout.num_gates), cfg, gradient)
 
-    best, best_x, steps_run, trace, failed, note = descend(_flatten(p0), vg, adam)
-    return ShotRecord(
-        seed=int(seed),
-        dims=cfg.dims.sites,
-        partition=cfg.partition,
-        q_trained=cfg.q,
-        best_gap=float(best),
-        best_params=best_x[0::2] + 1j * best_x[1::2],
-        steps_run=steps_run,
-        objective_trace=np.asarray(trace),
-        failed=failed,
-        note=note,
-        family="mera",
-    )
+    def init(rng: np.random.Generator) -> np.ndarray:
+        return _flatten(initial_mera_params(layout, rng))
 
-
-def _mera_worker(args) -> ShotRecord:
-    layout, cfg, adam, seed, gradient = args
-    try:
-        return run_mera_shot(layout, cfg, adam, seed, gradient)
-    except Exception as exc:
-        return failed_shot(cfg, seed, exc, layout.num_entries, family="mera")
+    return descend_shot(cfg, adam, seed, init, vg, "mera")
 
 
 def run_mera_search(
@@ -283,17 +264,15 @@ def run_mera_search(
     cfg: ObjectiveConfig,
     adam: AdamConfig,
     seeds: Sequence[int],
-    gradient: str = "fd",
+    gradient: str = "analytic",
     parallelism: int = 1,
 ) -> list[ShotRecord]:
     """Batched MERA shots, results in seed order."""
-    return map_shots(_mera_worker, [(layout, cfg, adam, s, gradient) for s in seeds], parallelism)
+    worker = partial(guarded_shot, partial(run_mera_shot, layout, cfg, adam, gradient=gradient),
+                     cfg, layout.num_entries, "mera")
+    return map_shots(worker, list(seeds), parallelism)
 
 
 def mera_state_from_record(record: ShotRecord) -> QuditState:
-    layout = mera_layout(len(record.dims))
-    return mera_state(layout, _unflatten_complex(record.best_params))
-
-
-def _unflatten_complex(ent: np.ndarray) -> MeraParams:
-    return MeraParams(np.asarray(ent).reshape(-1, ENTRIES_PER_GATE))
+    params = MeraParams(np.asarray(record.best_params).reshape(-1, ENTRIES_PER_GATE))
+    return mera_state(mera_layout(len(record.dims)), params)

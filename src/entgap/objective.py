@@ -28,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .entropy import DEFAULT_ENTROPY, EntropyConfig, clipped_eigenvalues, max_tmi, von_neumann
-from .entropy import pure_tmi_terms
-from .reflect import reflected_entropy
+from .entropy import entropy_from_spectrum, pure_tmi_terms
+from .reflect import reflected_spectrum
 from .states import (
     DensityMatrix,
     Dims,
@@ -165,18 +165,36 @@ def two_party_density(psi: QuditState, partition: PartitionSpec) -> DensityMatri
     return partial_trace(grouped, (0, 1))
 
 
+class GapProfile:
+    """The gap of one state at any q, on the ``DensityMatrix`` reference path.
+
+    S(AA') and the reflected spectrum do not depend on q, so ``gap_at(q)`` is a
+    Renyi sum.  Its partial traces, square root and spectra are computed apart
+    from the search kernel ``_StateObjective``, which ``verify`` checks against it.
+    """
+
+    def __init__(self, psi: QuditState, partition: PartitionSpec, config: EntropyConfig):
+        partition.validate_for(psi.dims)
+        keep = tuple(sorted(partition.a_sites + partition.ap_sites))
+        self.s_aap = von_neumann(partial_trace(psi, keep), config)
+        self.spectrum = reflected_spectrum(two_party_density(psi, partition), config.clip_eps)
+        self.config = config
+
+    def gap_at(self, q: float) -> float:
+        return self.s_aap - 0.5 * entropy_from_spectrum(self.spectrum, float(q), self.config)
+
+
 def gap(
     psi: QuditState,
     partition: PartitionSpec,
     q: float = 1.0,
     config: EntropyConfig = DEFAULT_ENTROPY,
 ) -> float:
-    """S(AA') minus half the q-Renyi reflected entropy of rho_AB."""
-    partition.validate_for(psi.dims)
-    keep = tuple(sorted(partition.a_sites + partition.ap_sites))
-    s_aap = von_neumann(partial_trace(psi, keep), config)
-    s_r = reflected_entropy(two_party_density(psi, partition), q, config)
-    return s_aap - 0.5 * s_r
+    """S(AA') minus half the q-Renyi reflected entropy of rho_AB, on the reference path.
+
+    To evaluate one state at many q, build its :class:`GapProfile` once instead.
+    """
+    return GapProfile(psi, partition, config).gap_at(q)
 
 
 def penalized_gap(

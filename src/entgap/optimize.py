@@ -12,23 +12,23 @@ import contextlib
 import ctypes
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .entropy import EntropyConfig, entropy_from_spectrum, hermitian_spectrum, von_neumann
+from .entropy import EntropyConfig
 from .objective import (
+    GapProfile,
     ObjectiveConfig,
     UTParams,
     _complex_to_real,
     _real_to_complex,
-    gap,
     objective_value_and_gradient,
-    two_party_density,
+    state_from_params,
 )
-from .reflect import canonical_purification
-from .states import Dims, PartitionSpec, QuditState, partial_trace
+from .states import Dims, PartitionSpec, QuditState
 
 
 @dataclass(frozen=True)
@@ -156,17 +156,17 @@ def descend(
     return best_value, best_x, len(trace), trace, False, ""
 
 
-def run_shot(cfg: ObjectiveConfig, adam: AdamConfig, seed: int) -> ShotRecord:
-    """One seeded shot of the gap search; deterministic in (cfg, adam, seed)."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    d = cfg.dims.total
-    p0 = initial_params(d, rng)
+def descend_shot(
+    cfg: ObjectiveConfig, adam: AdamConfig, seed: int,
+    init: Callable[[np.random.Generator], np.ndarray], value_and_grad: ValueGrad, family: str,
+) -> ShotRecord:
+    """One seeded shot of either search family: ADAM on ``value_and_grad`` from ``init(rng)``.
 
-    def vg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad, _ = objective_value_and_gradient(UTParams(d, _real_to_complex(x)), cfg)
-        return value, grad
-
-    best, best_x, steps_run, trace, failed, note = descend(_complex_to_real(p0.entries), vg, adam)
+    ``rng`` is the shot's own PCG64 generator, seeded with ``seed``.  The best
+    real point is recorded as complex entries (interleaved real/imaginary pairs).
+    """
+    x0 = init(np.random.Generator(np.random.PCG64(seed)))
+    best, best_x, steps_run, trace, failed, note = descend(x0, value_and_grad, adam)
     return ShotRecord(
         seed=int(seed),
         dims=cfg.dims.sites,
@@ -178,34 +178,45 @@ def run_shot(cfg: ObjectiveConfig, adam: AdamConfig, seed: int) -> ShotRecord:
         objective_trace=np.asarray(trace),
         failed=failed,
         note=note,
-    )
-
-
-def failed_shot(
-    cfg: ObjectiveConfig, seed: int, exc: Exception, num_entries: int, family: str = "unitary"
-) -> ShotRecord:
-    """The record of a shot whose worker raised: no steps, infinite objective, the error as note."""
-    return ShotRecord(
-        seed=int(seed),
-        dims=cfg.dims.sites,
-        partition=cfg.partition,
-        q_trained=cfg.q,
-        best_gap=float("inf"),
-        best_params=np.zeros(num_entries, dtype=np.complex128),
-        steps_run=0,
-        objective_trace=np.zeros(0),
-        failed=True,
-        note=f"{type(exc).__name__}: {exc}",
         family=family,
     )
 
 
-def _shot_worker(args) -> ShotRecord:
-    cfg, adam, seed = args
+def run_shot(cfg: ObjectiveConfig, adam: AdamConfig, seed: int) -> ShotRecord:
+    """One seeded shot of the gap search; deterministic in (cfg, adam, seed)."""
+    d = cfg.dims.total
+
+    def vg(x: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad, _ = objective_value_and_gradient(UTParams(d, _real_to_complex(x)), cfg)
+        return value, grad
+
+    def init(rng: np.random.Generator) -> np.ndarray:
+        return _complex_to_real(initial_params(d, rng).entries)
+
+    return descend_shot(cfg, adam, seed, init, vg, "unitary")
+
+
+def guarded_shot(
+    shot: Callable[[int], ShotRecord], cfg: ObjectiveConfig, num_entries: int, family: str,
+    seed: int,
+) -> ShotRecord:
+    """``shot(seed)``, or if it raises a record of no steps, objective inf, the error as note."""
     try:
-        return run_shot(cfg, adam, seed)
+        return shot(seed)
     except Exception as exc:  # record the failure, keep the batch going
-        return failed_shot(cfg, seed, exc, UTParams.num_entries(cfg.dims.total))
+        return ShotRecord(
+            seed=int(seed),
+            dims=cfg.dims.sites,
+            partition=cfg.partition,
+            q_trained=cfg.q,
+            best_gap=float("inf"),
+            best_params=np.zeros(num_entries, dtype=np.complex128),
+            steps_run=0,
+            objective_trace=np.zeros(0),
+            failed=True,
+            note=f"{type(exc).__name__}: {exc}",
+            family=family,
+        )
 
 
 def _one_blas_thread() -> None:
@@ -222,7 +233,9 @@ def run_batch(
     parallelism: int = 1,
 ) -> list[ShotRecord]:
     """Independent shots for every seed, results in seed order."""
-    return map_shots(_shot_worker, [(cfg, adam, s) for s in seeds], parallelism)
+    worker = partial(guarded_shot, partial(run_shot, cfg, adam), cfg,
+                     UTParams.num_entries(cfg.dims.total), "unitary")
+    return map_shots(worker, list(seeds), parallelism)
 
 
 def map_shots(worker: Callable, jobs: list, parallelism: int) -> list[ShotRecord]:
@@ -237,26 +250,6 @@ def map_shots(worker: Callable, jobs: list, parallelism: int) -> list[ShotRecord
 
 # ---------------------------------------------------------------------------
 # q-sweeps
-
-
-class GapProfile:
-    """Per-state cache turning gap(q) evaluation into a spectrum sum.
-
-    S(AA') and the reflected-entropy spectrum do not depend on q, so a
-    sweep over many q values only re-evaluates the Renyi sum.
-    """
-
-    def __init__(self, state: QuditState, partition: PartitionSpec, config: EntropyConfig):
-        partition.validate_for(state.dims)
-        keep = tuple(sorted(partition.a_sites + partition.ap_sites))
-        self.s_aap = von_neumann(partial_trace(state, keep), config)
-        pur = canonical_purification(two_party_density(state, partition))
-        rho_aap = partial_trace(pur.state, (0, 2))
-        self.spectrum = hermitian_spectrum(rho_aap, config.clip_eps).eigenvalues
-        self.config = config
-
-    def gap_at(self, q: float) -> float:
-        return self.s_aap - 0.5 * entropy_from_spectrum(self.spectrum, float(q), self.config)
 
 
 def state_gap_curve(
@@ -294,8 +287,10 @@ def sweep_min_gap(
 
 
 def state_from_record(record: ShotRecord) -> QuditState:
-    """Rebuild the state at a shot's best parameters."""
-    from .objective import state_from_params
+    """Rebuild the state at a shot's best parameters, for either search family."""
+    if record.family == "mera":
+        from .mera import mera_state_from_record  # mera imports this module
 
+        return mera_state_from_record(record)
     cfg = ObjectiveConfig(Dims(record.dims), record.partition, q=record.q_trained)
     return state_from_params(UTParams(cfg.dims.total, record.best_params), cfg)

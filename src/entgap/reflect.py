@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import DEFAULT_ENTROPY, EntropyConfig, PSD_ATOL, renyi
+from .entropy import DEFAULT_ENTROPY, EntropyConfig, PSD_ATOL, entropy_from_spectrum
+from .entropy import hermitian_spectrum
 from .states import DensityMatrix, Dims, QuditState, partial_trace
 
 
@@ -58,10 +59,19 @@ def canonical_purification(rho_ab: DensityMatrix) -> CanonicalPurification:
     return CanonicalPurification(state)
 
 
+def reflected_spectrum(
+    rho_ab: DensityMatrix, clip_eps: float = DEFAULT_ENTROPY.clip_eps
+) -> np.ndarray:
+    """Clipped, descending spectrum of the (A, A') marginal of the canonical purification.
+
+    Every S_R^(q)(A:B) is a Renyi sum over this one q-independent spectrum.
+    """
+    pur = canonical_purification(rho_ab)
+    return hermitian_spectrum(partial_trace(pur.state, (0, 2)), clip_eps).eigenvalues
+
+
 def reflected_entropy(
     rho_ab: DensityMatrix, q: float = 1.0, config: EntropyConfig = DEFAULT_ENTROPY
 ) -> float:
     """q-Renyi entropy of the (A, A') marginal of the canonical purification."""
-    pur = canonical_purification(rho_ab)
-    rho_aap = partial_trace(pur.state, (0, 2))
-    return renyi(rho_aap, q, config)
+    return entropy_from_spectrum(reflected_spectrum(rho_ab, config.clip_eps), float(q), config)

@@ -76,12 +76,14 @@ def antihermitian_to_params(a: np.ndarray):
 
 
 def params_mapping_uniform_to(target: np.ndarray):
-    """Parameters whose unitary sends the equal superposition to ~target.
+    """Parameters whose unitary sends the equal superposition to target, up to a global phase.
 
-    Built from two Householder reflections and a matrix logarithm; good to
-    ~1e-9, which is ample for steering tests to a chosen region.
+    Built from two Householder reflections and a matrix logarithm.  The
+    reflection that swaps e0 and y maps e0 to y only when y[0] is real, so
+    the target's global phase is rotated to make target[0] real first.
     """
     d = target.shape[0]
+    target = target * np.exp(-1j * np.angle(target[0]))
     chi = np.full(d, 1.0 / np.sqrt(d), dtype=np.complex128)
 
     def householder_swap(x, y):

@@ -99,6 +99,26 @@ def test_verify_bundled_fixtures_pass():
         assert main(["verify", str(fixture_path(name))]) == 0
 
 
+def test_verify_fails_when_reference_drifts_from_kernel(monkeypatch, capsys):
+    # the reference reflected spectrum scaled by 1 + 1e-9 moves the reference
+    # gap by ~1e-10, far inside the fixture tolerances but not the 1e-12
+    # kernel cross-check, which alone must fail
+    import entgap.objective
+
+    real = entgap.objective.reflected_spectrum
+    monkeypatch.setattr(entgap.objective, "reflected_spectrum",
+                        lambda *args: real(*args) * (1.0 + 1e-9))
+    path = str(fixture_path("violation_3322.json"))
+    report = verify_state_file(path)
+    assert not report.passed
+    assert report.identity_error > 1e-12
+    assert report.matched_base == "2"
+    assert "search kernel vs reference" in report.render()
+    assert main(["verify", path]) == 1
+    identity = [ln for ln in capsys.readouterr().out.splitlines() if "search kernel" in ln]
+    assert len(identity) == 1 and identity[0].endswith("FAIL")
+
+
 def test_verify_reports_mismatch(tmp_path, rng):
     psi = random_state(Dims((2, 2, 2, 2)), rng)
     part = default_partition(psi.dims)
@@ -270,6 +290,17 @@ def test_cli_every_shot_failed_exits_1_with_notes(tmp_path, monkeypatch, capsys,
         assert f"seed {seed} failed: objective is not finite: nan" in err
 
 
+def test_cli_optimize_names_the_penalized_objective(tmp_path, capsys):
+    # under --penalty best_gap is gap + weight * max(Max(I3), 0), not the gap
+    args = ["optimize", "--dims", "2,2,2,2", "--seeds", "2", "--steps", "5"]
+    assert main(args + ["--out", str(tmp_path / "plain")]) == 0
+    assert "; best gap over 2 shots: " in capsys.readouterr().out
+    assert main(args + ["--penalty", "--out", str(tmp_path / "pen")]) == 0
+    out = capsys.readouterr().out
+    assert "; best objective (gap + MMI hinge) over 2 shots: " in out
+    assert "best gap" not in out
+
+
 def test_cli_curve_from_fixture(tmp_path):
     out = tmp_path / "curve"
     rc = main(["curve", "--state", str(fixture_path("violation_3322.json")),
@@ -304,3 +335,8 @@ def test_cli_mera_smoke(tmp_path):
     assert rc == 0
     recs = read_shots_jsonl(out / "shots.jsonl")
     assert recs[0].family == "mera"
+    rc = main(["curve", "--shots", str(out / "shots.jsonl"), "--q-grid", "0.5:1.5:0.5",
+               "--out", str(out)])
+    assert rc == 0
+    want = gap(state_from_record(recs[0]), recs[0].partition, 1.0)
+    assert dict(read_curve_csv(out / "curve.csv"))[1.0] == pytest.approx(want, abs=1e-11)

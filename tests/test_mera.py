@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from entgap.cli import build_parser
 from entgap.io import shot_to_dict
 from entgap.mera import (
     ENTRIES_PER_GATE,
@@ -16,7 +19,7 @@ from entgap.mera import (
     run_mera_shot,
 )
 from entgap.objective import gap
-from entgap.optimize import AdamConfig
+from entgap.optimize import AdamConfig, state_from_record
 from entgap.states import density_from_state, partial_trace, reduced_density_vector
 
 
@@ -93,6 +96,12 @@ def test_fd_and_analytic_gradients_agree(rng):
         assert np.all(np.abs(g_fd - g_an) <= np.maximum(1e-5 * np.abs(g_fd), 1e-8))
 
 
+def test_analytic_gradient_is_the_default():
+    assert build_parser().parse_args(["mera", "--out", "x"]).gradient == "analytic"
+    for fn in (mera_value_and_gradient, run_mera_shot, run_mera_search):
+        assert inspect.signature(fn).parameters["gradient"].default == "analytic"
+
+
 def test_gradient_kind_validated(rng):
     lay = mera_layout(8)
     cfg = mera_objective_config(8)
@@ -127,6 +136,7 @@ def test_mera_record_state_round_trip(rng):
     rec = run_mera_shot(lay, cfg, AdamConfig(steps=20), 4, gradient="analytic")
     psi = mera_state_from_record(rec)
     assert abs(gap(psi, rec.partition, rec.q_trained) - rec.best_gap) < 1e-12
+    assert np.array_equal(state_from_record(rec).amplitudes, psi.amplitudes)
 
 
 def test_mera_search_stays_nonnegative_smoke():

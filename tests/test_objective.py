@@ -250,6 +250,16 @@ def _check_penalized_gradient_hinge_active(sites, rng):
     assert grad_close(g, fd_gradient(p, cfg))
 
 
+def test_params_mapping_uniform_to_reaches_a_complex_target():
+    # the hinge tests' GHZ targets are real; this fixture's first amplitude is not
+    psi, part, _ = load_fixture_state("violation_3322.json")
+    assert abs(psi.amplitudes[0].imag) > 0.1
+    p = params_mapping_uniform_to(psi.amplitudes)
+    phi = state_from_params(p, ObjectiveConfig(psi.dims, part))
+    assert abs(np.vdot(psi.amplitudes, phi.amplitudes)) >= 1.0 - 1e-9
+    assert abs(gap(phi, part) - gap(psi, part)) <= 1e-9
+
+
 def test_penalized_gradient_matches_fd_hinge_active(rng):
     _check_penalized_gradient_hinge_active((2, 2, 2, 2), rng)
 
