@@ -201,15 +201,17 @@ def _cmd_sweep(args) -> int:
             if not rec.failed:
                 states.append(state_from_record(rec))
                 ids.append(f"q{q:g}/seed{rec.seed}")
-    part = default_partition(args.dims)
-    sweep = sweep_min_gap(
-        states, args.q_grid, part, EntropyConfig(log_base=args.log_base), ids=ids
-    )
     cfgdict = _run_config_dict(
         args, {"dims": list(args.dims.sites), "train_q": list(args.train_q),
                "q_grid": [args.q_grid[0], args.q_grid[-1], len(args.q_grid)]}
     )
-    emit_reports(all_records, "shots_jsonl", args.out / "shots.jsonl", "sweep", cfgdict)
+    shots = emit_reports(all_records, "shots_jsonl", args.out / "shots.jsonl", "sweep", cfgdict)
+    if not states:
+        return _report_best(all_records, shots, "gap")
+    part = default_partition(args.dims)
+    sweep = sweep_min_gap(
+        states, args.q_grid, part, EntropyConfig(log_base=args.log_base), ids=ids
+    )
     out = emit_reports(sweep, "sweep_csv", args.out / "sweep.csv", "sweep", cfgdict)
     neg = [r for r in sweep if r.min_gap < 0]
     print(f"wrote {out}; min gap is negative at {len(neg)}/{len(sweep)} grid points")
@@ -230,10 +232,14 @@ def _cmd_curve(args) -> int:
     else:
         records = read_shots_jsonl(args.shots)
         matches = [r for r in records if args.seed is None or r.seed == args.seed]
-        if not matches:
-            print(f"no shot with seed {args.seed} in {args.shots}", file=sys.stderr)
+        finished = [r for r in matches if not r.failed]
+        if not finished:
+            for r in matches:
+                print(f"seed {r.seed} failed: {r.note}", file=sys.stderr)
+            wanted = "" if args.seed is None else f" with seed {args.seed}"
+            print(f"no finished shot{wanted} in {args.shots}", file=sys.stderr)
             return 2
-        rec = matches[0]
+        rec = finished[0]
         psi = state_from_record(rec)
         part = rec.partition
         label = f"{args.shots}:seed{rec.seed}"
@@ -287,6 +293,9 @@ def _cmd_mera(args) -> int:
 def _cmd_bound_check(args) -> int:
     if args.q < 2.0:
         print("bound-check is meaningful for q >= 2 only", file=sys.stderr)
+        return 2
+    if args.samples < 1:
+        print("bound-check needs --samples >= 1", file=sys.stderr)
         return 2
     dims = args.dims
     if len(dims) != 4:

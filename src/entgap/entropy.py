@@ -1,8 +1,8 @@
 """Spectra, von Neumann / Renyi entropies, and (tripartite) mutual information.
 
 All entropies are reported in the base selected by :class:`EntropyConfig`
-(natural log by default).  Eigenvalues with magnitude below ``clip_eps``
-are set to zero and excluded from every sum; the spectrum is never
+(natural log by default).  Eigenvalues with magnitude below ``CLIP_EPS``
+(1e-12) are set to zero and excluded from every sum; the spectrum is never
 renormalized afterwards.  Negative eigenvalues are tolerated down to
 -1e-10 (partial-trace roundoff) and clipped here, not upstream.
 """
@@ -20,20 +20,18 @@ from .states import DensityMatrix, Dims, PartitionSpec, QuditState, partial_trac
 PSD_ATOL = 1e-10
 HERM_CHECK_ATOL = 1e-8
 TRACE_SUM_ATOL = 1e-9
+CLIP_EPS = 1e-12
 
 
 @dataclass(frozen=True)
 class EntropyConfig:
-    """Logarithm base and eigenvalue clipping threshold."""
+    """Logarithm base of the reported entropies."""
 
     log_base: str = "e"  # "e" (nats) or "2" (bits)
-    clip_eps: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.log_base not in ("e", "2"):
             raise ValueError(f"log_base must be 'e' or '2', got {self.log_base!r}")
-        if not 0.0 < self.clip_eps <= 1e-6:
-            raise ValueError(f"clip_eps must lie in (0, 1e-6], got {self.clip_eps!r}")
 
     @property
     def log_divisor(self) -> float:
@@ -44,23 +42,10 @@ class EntropyConfig:
 DEFAULT_ENTROPY = EntropyConfig()
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Descending, clipped eigenvalues of a density matrix."""
-
-    eigenvalues: np.ndarray
-    clip_eps: float
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.eigenvalues, dtype=np.float64).copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
-
-
-def clipped_eigenvalues(vals: np.ndarray, clip_eps: float) -> np.ndarray:
+def clipped_eigenvalues(vals: np.ndarray) -> np.ndarray:
     """Apply the clipping rule to raw eigenvalues of a density matrix.
 
-    Values in (-clip_eps, clip_eps) become 0; residual negatives down to
+    Values in (-CLIP_EPS, CLIP_EPS) become 0; residual negatives down to
     -1e-10 are roundoff and become 0 as well; anything below -1e-10 is a
     genuine positivity violation and raises.
     """
@@ -68,15 +53,13 @@ def clipped_eigenvalues(vals: np.ndarray, clip_eps: float) -> np.ndarray:
     if vals.size and float(vals.min()) < -PSD_ATOL:
         raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {vals.min()!r}")
     out = vals.copy()
-    out[np.abs(out) < clip_eps] = 0.0
+    out[np.abs(out) < CLIP_EPS] = 0.0
     out[out < 0.0] = 0.0
     return out
 
 
-def hermitian_spectrum(
-    rho: Union[DensityMatrix, np.ndarray], clip_eps: float = DEFAULT_ENTROPY.clip_eps
-) -> Spectrum:
-    """Descending eigenvalues of a Hermitian unit-trace matrix, clipped.
+def hermitian_spectrum(rho: Union[DensityMatrix, np.ndarray]) -> np.ndarray:
+    """Descending eigenvalues of a Hermitian unit-trace matrix, clipped and read-only.
 
     Raises if the input deviates from Hermiticity by more than 1e-8, if its
     eigenvalues violate positivity beyond -1e-10, or if the raw spectrum
@@ -90,8 +73,9 @@ def hermitian_spectrum(
     vals = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))
     if abs(float(vals.sum()) - 1.0) > TRACE_SUM_ATOL:
         raise ValueError(f"spectrum sums to {vals.sum()!r}, expected 1")
-    out = clipped_eigenvalues(vals, clip_eps)
-    return Spectrum(out[::-1], clip_eps)
+    out = clipped_eigenvalues(vals)[::-1].copy()
+    out.setflags(write=False)
+    return out
 
 
 def entropy_from_spectrum(vals: np.ndarray, q: float, config: EntropyConfig) -> float:
@@ -110,14 +94,12 @@ def entropy_from_spectrum(vals: np.ndarray, q: float, config: EntropyConfig) -> 
 
 def von_neumann(rho: DensityMatrix, config: EntropyConfig = DEFAULT_ENTROPY) -> float:
     """Von Neumann entropy -sum(p log p) over the clipped spectrum."""
-    spec = hermitian_spectrum(rho, config.clip_eps)
-    return entropy_from_spectrum(spec.eigenvalues, 1.0, config)
+    return entropy_from_spectrum(hermitian_spectrum(rho), 1.0, config)
 
 
 def renyi(rho: DensityMatrix, q: float, config: EntropyConfig = DEFAULT_ENTROPY) -> float:
     """Renyi-q entropy log(sum p^q)/(1-q); dispatches to von Neumann at q == 1."""
-    spec = hermitian_spectrum(rho, config.clip_eps)
-    return entropy_from_spectrum(spec.eigenvalues, float(q), config)
+    return entropy_from_spectrum(hermitian_spectrum(rho), float(q), config)
 
 
 def _marginal_entropy(

@@ -14,8 +14,10 @@ gap's own spectrum.  Gradients are computed analytically by spectral calculus:
 first-divided-difference (Daleckii-Krein) matrices propagate perturbations
 through the matrix exponential and the density-matrix square root, and
 entropy terms differentiate to spectral functions of their density
-matrices.  Eigenvalue pairs closer than 1e-10 fall back to the pointwise
-derivative; eigenvalues below the clipping threshold contribute nothing.
+matrices.  Both divided differences are closed forms that stay exact as
+eigenvalue pairs merge: a sinc for the exponential and 1/(r_i + r_j) on the
+clipped roots for the square root.  Eigenvalues below
+:data:`entgap.entropy.CLIP_EPS` contribute nothing.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropy import DEFAULT_ENTROPY, EntropyConfig, clipped_eigenvalues, max_tmi, von_neumann
-from .entropy import entropy_from_spectrum, pure_tmi_terms
+from .entropy import CLIP_EPS, DEFAULT_ENTROPY, EntropyConfig, clipped_eigenvalues, max_tmi
+from .entropy import entropy_from_spectrum, pure_tmi_terms, von_neumann
 from .reflect import reflected_spectrum
 from .states import (
     DensityMatrix,
@@ -39,8 +41,6 @@ from .states import (
     partial_trace,
     permute_and_group,
 )
-
-DEGENERACY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -111,13 +111,14 @@ def _exp_antihermitian(m: np.ndarray):
 
 
 def _exp_adjoint(theta: np.ndarray, v: np.ndarray, g_u: np.ndarray) -> np.ndarray:
-    """Pull a gradient on U back to a Hermitian gradient on H = i(M - M^dag)."""
-    diff = theta[:, None] - theta[None, :]
-    ph = np.exp(-1j * theta)
-    near = np.abs(diff) < DEGENERACY_TOL
+    """Pull a gradient on U back to a Hermitian gradient on H = i(M - M^dag).
+
+    The divided difference of exp(-i theta) is written in closed form,
+    -i exp(-i mean) sin(diff/2) / (diff/2), so it does not cancel as pairs merge.
+    """
     mean = 0.5 * (theta[:, None] + theta[None, :])
-    num = ph[:, None] - ph[None, :]
-    phi = np.where(near, -1j * np.exp(-1j * mean), num / np.where(near, 1.0, diff))
+    diff = theta[:, None] - theta[None, :]
+    phi = -1j * np.exp(-1j * mean) * np.sinc(diff / (2.0 * np.pi))
     b = v.conj().T @ g_u @ v
     g_h = v @ (b * phi.conj()) @ v.conj().T
     return 0.5 * (g_h + g_h.conj().T)
@@ -177,7 +178,7 @@ class GapProfile:
         partition.validate_for(psi.dims)
         keep = tuple(sorted(partition.a_sites + partition.ap_sites))
         self.s_aap = von_neumann(partial_trace(psi, keep), config)
-        self.spectrum = reflected_spectrum(two_party_density(psi, partition), config.clip_eps)
+        self.spectrum = reflected_spectrum(two_party_density(psi, partition))
         self.config = config
 
     def gap_at(self, q: float) -> float:
@@ -242,13 +243,13 @@ class _Marginal:
         return g_t.reshape(shp).transpose(self.inv_perm).reshape(-1)
 
 
-def _entropy_grad_diag(vals: np.ndarray, q: float, clip_eps: float, log_div: float):
+def _entropy_grad_diag(vals: np.ndarray, q: float, log_div: float):
     """Entropy value and d(entropy)/d(eigenvalue), on a raw eigh spectrum.
 
-    Clipped eigenvalues (|v| < clip_eps, plus roundoff negatives) carry zero
+    Clipped eigenvalues (|v| < CLIP_EPS, plus roundoff negatives) carry zero
     derivative, consistent with their exclusion from the entropy sum.
     """
-    clipped = clipped_eigenvalues(vals, clip_eps)
+    clipped = clipped_eigenvalues(vals)
     pos = clipped > 0.0
     g = np.zeros_like(clipped)
     if not np.any(pos):
@@ -264,22 +265,16 @@ def _entropy_grad_diag(vals: np.ndarray, q: float, clip_eps: float, log_div: flo
     return value / log_div, g / log_div
 
 
-def _sqrt_dk_matrix(vals: np.ndarray, clip_eps: float) -> np.ndarray:
+def _sqrt_dk_matrix(root: np.ndarray) -> np.ndarray:
     """Daleckii-Krein first-divided-difference matrix for the matrix square root.
 
-    Eigenvalue pairs closer than the degeneracy tolerance use f'(mean);
-    pairs inside the clipped kernel get 0 (their perturbation block vanishes
-    to first order for reduced densities of pure states, since rho = T T^dag).
+    On the roots r of the forward pass, (r_i - r_j) / (r_i^2 - r_j^2) is
+    1 / (r_i + r_j), which holds at equal roots too.  Pairs inside the clipped
+    kernel get 0: their perturbation block vanishes to first order for reduced
+    densities of pure states, since rho = T T^dag.
     """
-    lam = np.clip(vals, 0.0, None)
-    root = np.sqrt(lam)
-    diff = lam[:, None] - lam[None, :]
-    near = np.abs(diff) < DEGENERACY_TOL
-    mean = 0.5 * (lam[:, None] + lam[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = np.where(near, 0.0, (root[:, None] - root[None, :]) / np.where(near, 1.0, diff))
-        deriv = np.where(mean > clip_eps, 0.5 / np.sqrt(np.where(mean > 0, mean, 1.0)), 0.0)
-    return np.where(near, deriv, k)
+    total = root[:, None] + root[None, :]
+    return np.divide(1.0, total, out=np.zeros_like(total), where=total > 0.0)
 
 
 class _StateObjective:
@@ -295,7 +290,6 @@ class _StateObjective:
         sites = config.dims.sites
         part = config.partition
         self.q = float(config.q)
-        self.clip = config.entropy.clip_eps
         self.log_div = config.entropy.log_divisor
 
         self.marg_aap = _Marginal(sites, sorted(part.a_sites + part.ap_sites))
@@ -315,11 +309,11 @@ class _StateObjective:
 
     def __call__(self, amps: np.ndarray, want_grad: bool = True):
         """Return (value, grad_wrt_amps or None, extras dict)."""
-        q, clip, log_div = self.q, self.clip, self.log_div
+        q, log_div = self.q, self.log_div
 
         rho1, t1 = self.marg_aap.forward(amps)
         lam1, w1 = np.linalg.eigh(rho1)
-        s_aap, g1 = _entropy_grad_diag(lam1, 1.0, clip, log_div)
+        s_aap, g1 = _entropy_grad_diag(lam1, 1.0, log_div)
 
         rho_ab, t_ab = self.marg_ab.forward(amps)
         mu, vr = np.linalg.eigh(rho_ab)
@@ -327,13 +321,13 @@ class _StateObjective:
             raise FloatingPointError(f"rho_AB lost positivity: min eigenvalue {mu.min()!r}")
         # sub-clip eigenvalues are structural zeros of the rank-deficient
         # marginal; rooting them would inject sqrt(roundoff) noise
-        root = np.where(mu >= clip, np.sqrt(np.clip(mu, 0.0, None)), 0.0)
+        root = np.where(mu >= CLIP_EPS, np.sqrt(np.clip(mu, 0.0, None)), 0.0)
         x = (vr * root) @ vr.conj().T
         phi = x.reshape(-1)
 
         rho2, t2 = self.marg_ref.forward(phi)
         lam2, w2 = np.linalg.eigh(rho2)
-        s_ref, g2 = _entropy_grad_diag(lam2, q, clip, log_div)
+        s_ref, g2 = _entropy_grad_diag(lam2, q, log_div)
 
         gap_value = s_aap - 0.5 * s_ref
         value = gap_value
@@ -345,7 +339,7 @@ class _StateObjective:
             for marg, sign in self.i3_terms:
                 rho_s, t_s = marg.forward(amps)
                 lam_s, w_s = np.linalg.eigh(rho_s)
-                s_val, g_s = _entropy_grad_diag(lam_s, 1.0, clip, log_div)
+                s_val, g_s = _entropy_grad_diag(lam_s, 1.0, log_div)
                 m_i3 += sign * s_val
                 pen.append((marg, sign * g_s, w_s, t_s))
             extras["max_tmi"] = m_i3
@@ -367,7 +361,7 @@ class _StateObjective:
         g_phi = self.marg_ref.backward(g_rho2, t2)
         g_x = g_phi.reshape(self.d_ab, self.d_ab)
         g_x = 0.5 * (g_x + g_x.conj().T)
-        k = _sqrt_dk_matrix(mu, clip)
+        k = _sqrt_dk_matrix(root)
         g_rho_ab = vr @ ((vr.conj().T @ g_x @ vr) * k) @ vr.conj().T
         g_psi = g_psi + self.marg_ab.backward(g_rho_ab, t_ab)
 

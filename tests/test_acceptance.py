@@ -253,7 +253,7 @@ def test_criterion_7_pure_reflected_and_round_trip():
         mat = g @ g.conj().T
         mat /= np.trace(mat).real
         rho = DensityMatrix(Dims((d_a, d_b)), mat)
-        back = partial_trace(canonical_purification(rho).state, (0, 1)).matrix
+        back = partial_trace(canonical_purification(rho), (0, 1)).matrix
         worst_rt = max(worst_rt, float(np.max(np.abs(back - mat))))
     crit("7", worst_pure <= 1e-9 and worst_rt <= 1e-10,
          f"pure |S_R - 2S(A)| max {worst_pure:.2e}; round-trip max {worst_rt:.2e}")

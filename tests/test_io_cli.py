@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -274,7 +275,9 @@ def test_cli_tmi_filters_on_the_rebuilt_gap(tmp_path):
 @pytest.mark.parametrize(
     "argv,target",
     [(["optimize", "--dims", "2,2,2,2"], "entgap.optimize.objective_value_and_gradient"),
-     (["mera", "--qubits", "8", "--gradient", "analytic"], "entgap.mera.mera_value_and_gradient")],
+     (["mera", "--qubits", "8", "--gradient", "analytic"], "entgap.mera.mera_value_and_gradient"),
+     (["sweep", "--dims", "2,2,2,2", "--train-q", "1.0"],
+      "entgap.optimize.objective_value_and_gradient")],
 )
 def test_cli_every_shot_failed_exits_1_with_notes(tmp_path, monkeypatch, capsys, argv, target):
     def blow_up(*args, **kwargs):
@@ -315,9 +318,31 @@ def test_cli_curve_needs_exactly_one_source(tmp_path):
     assert main(["curve", "--out", str(tmp_path)]) == 2
 
 
+def test_cli_curve_from_shots_skips_failed_shots(tmp_path, capsys):
+    failed, finished = small_records(steps=20)
+    failed = replace(failed, failed=True, note="FloatingPointError: objective is not finite: nan",
+                     best_gap=float("inf"), best_params=np.zeros_like(failed.best_params))
+    shots = tmp_path / "shots.jsonl"
+    write_shots_jsonl([failed, finished], shots)
+    grid = ["--q-grid", "0.5:1.5:0.5"]
+    assert main(["curve", "--shots", str(shots), "--out", str(tmp_path)] + grid) == 0
+    want = gap(state_from_record(finished), finished.partition, 1.0)
+    assert dict(read_curve_csv(tmp_path / "curve.csv"))[1.0] == pytest.approx(want, abs=1e-11)
+    rc = main(["curve", "--shots", str(shots), "--seed", "0", "--out", str(tmp_path / "s0")] + grid)
+    assert rc == 2
+    assert "seed 0 failed: FloatingPointError: objective is not finite: nan" in capsys.readouterr().err
+    assert not (tmp_path / "s0").exists()
+
+
 def test_cli_bound_check_passes():
     assert main(["bound-check", "--dims", "2,2,2,2", "--samples", "50"]) == 0
     assert main(["bound-check", "--dims", "2,2,2,2", "--q", "1.5"]) == 2
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_cli_bound_check_rejects_no_samples(samples, capsys):
+    assert main(["bound-check", "--dims", "2,2,2,2", "--samples", samples]) == 2
+    assert "min gap" not in capsys.readouterr().out
 
 
 def test_cli_rerun_byte_identical(tmp_path):

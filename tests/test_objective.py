@@ -7,7 +7,9 @@ from entgap.entropy import EntropyConfig, max_tmi, von_neumann
 from entgap.objective import (
     ObjectiveConfig,
     UTParams,
+    _StateObjective,
     gap,
+    matrix_from_params,
     objective_gradient,
     objective_value,
     objective_value_and_gradient,
@@ -20,6 +22,7 @@ from entgap.reflect import reflected_entropy
 from entgap.states import Dims, QuditState, default_partition, equal_superposition, partial_trace
 
 from conftest import (
+    antihermitian_to_params,
     bell_pair,
     ghz,
     load_fixture_state,
@@ -55,6 +58,15 @@ def fd_gradient(p: UTParams, cfg: ObjectiveConfig, h: float = 1e-5) -> np.ndarra
 
 def grad_close(analytic, fd, rel=1e-5, abs_tol=1e-8):
     return np.all(np.abs(analytic - fd) <= np.maximum(rel * np.abs(fd), abs_tol))
+
+
+def richardson_slope(f, h: float = 1e-3) -> float:
+    """f'(0) from central differences at h/2 and h/4, their h^2 errors cancelled."""
+
+    def central(step):
+        return (f(step) - f(-step)) / (2.0 * step)
+
+    return (4.0 * central(h / 4.0) - central(h / 2.0)) / 3.0
 
 
 def test_unitary_zero_params_is_identity():
@@ -232,6 +244,46 @@ def test_gradient_vector_length(rng):
     cfg = ObjectiveConfig(dims, default_partition(dims))
     g = objective_gradient(random_params(16, rng), cfg)
     assert g.shape == (16 * 17,)
+
+
+@pytest.mark.parametrize("sites", [(3, 3, 2, 2), (4, 4, 2, 2)])
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_state_gradient_at_rank_deficient_rho_ab(sites, q):
+    # rho_AB has rank at most d_A'B' < d_AB: the square root's divided
+    # differences meet its kernel, which plain central differences cannot resolve
+    dims = Dims(sites)
+    obj = _StateObjective(ObjectiveConfig(dims, default_partition(dims), q=q))
+    rng = np.random.default_rng(20 * sites[0] + int(q))
+    for _ in range(3):
+        psi = random_state(dims, rng).amplitudes
+        z = rng.standard_normal(dims.total) + 1j * rng.standard_normal(dims.total)
+        z /= np.linalg.norm(z)
+        _, g, _ = obj(psi)
+        want = richardson_slope(lambda t: obj(psi + t * z, want_grad=False)[0])
+        assert abs(float(np.vdot(g, z).real) - want) < 1e-10
+
+
+@pytest.mark.parametrize("split", [1e-11, 2e-10, 1e-9])
+def test_gradient_at_near_degenerate_generator(split):
+    # H = i(M - M^dag) with one eigenvalue pair split by `split`, about where the
+    # exp adjoint's divided difference (e^-ia - e^-ib)/(a - b) loses its digits
+    dims = Dims((2, 2, 2, 2))
+    cfg = ObjectiveConfig(dims, default_partition(dims), q=1.0)
+    rng = np.random.default_rng(2)
+    theta = np.sort(rng.uniform(-3.0, 3.0, 16))
+    theta[9] = theta[8] + split
+    g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    v, _ = np.linalg.qr(g)
+    p = antihermitian_to_params(-1j * (v * theta) @ v.conj().T)  # M - M^dag = -iH
+    m = matrix_from_params(p)
+    assert np.min(np.diff(np.linalg.eigvalsh(1j * (m - m.conj().T)))) < 2.0 * split
+    _, grad, _ = objective_value_and_gradient(p, cfg)
+    for _ in range(3):
+        r = rng.standard_normal(grad.shape[0])
+        r /= np.linalg.norm(r)
+        dz = r[0::2] + 1j * r[1::2]
+        want = richardson_slope(lambda t: objective_value(UTParams(16, p.entries + t * dz), cfg))
+        assert abs(float(grad @ r) - want) < 1e-11
 
 
 def _check_penalized_gradient_hinge_active(sites, rng):

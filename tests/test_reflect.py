@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from entgap.entropy import EntropyConfig, von_neumann
-from entgap.objective import two_party_density
+from entgap.objective import ObjectiveConfig, _StateObjective, gap, two_party_density
 from entgap.reflect import canonical_purification, reflected_entropy, sqrt_density
 from entgap.states import DensityMatrix, Dims, QuditState, partial_trace
 
@@ -51,7 +51,7 @@ def test_sqrt_rejects_negative():
 def test_purification_of_pure_state_factorizes(rng):
     psi = random_state(Dims((2, 3)), rng)
     rho = DensityMatrix(Dims((2, 3)), np.outer(psi.amplitudes, psi.amplitudes.conj()))
-    pur = canonical_purification(rho).state
+    pur = canonical_purification(rho)
     want = np.kron(psi.amplitudes, psi.amplitudes.conj())
     # global sign/phase fixed by construction (sqrt of a projector is itself)
     assert np.max(np.abs(pur.amplitudes - want)) < 1e-10
@@ -60,7 +60,7 @@ def test_purification_of_pure_state_factorizes(rng):
 
 def test_purification_of_maximally_mixed():
     rho = DensityMatrix(Dims((2, 2)), np.eye(4) / 4.0)
-    pur = canonical_purification(rho).state
+    pur = canonical_purification(rho)
     t = pur.amplitudes.reshape(2, 2, 2, 2)
     for a in range(2):
         for b in range(2):
@@ -75,7 +75,7 @@ def test_purification_round_trip(rng):
         d_a = int(rng.integers(2, 6))
         d_b = int(rng.integers(2, 6))
         rho = random_mixed(d_a, d_b, rng)
-        pur = canonical_purification(rho).state
+        pur = canonical_purification(rho)
         back = partial_trace(pur, (0, 1)).matrix
         assert np.max(np.abs(back - rho.matrix)) < 1e-10
 
@@ -137,3 +137,64 @@ def test_reflected_entropy_bundled_state_matches_published():
     bits = EntropyConfig(log_base="2")
     s_r = reflected_entropy(rho_ab, 1.0, bits)
     assert abs(s_r - expected["s_r"]) <= expected["tol_s_r"]
+
+
+def _mp_gap(psi: QuditState, part, dps: int):
+    """S(AA') - S_R(A:B)/2 in nats at `dps` digits, by index loops and no eigenvalue cutoff.
+
+    sqrt(rho_AB) is T (T^dag T)^(-1/2) T^dag with T the (AB, A'B') amplitude matrix:
+    rooting the rank-deficient rho_AB itself would root its kernel eigenvalues,
+    which sit at +-10^-dps, and move the result by 10^(-dps/2).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    sites = psi.dims.sites
+    with mp.workdps(dps):
+        amp = {idx: mp.mpc(complex(z)) for idx, z in zip(np.ndindex(*sites), psi.amplitudes)}
+
+        def amplitude_matrix(rows, cols):
+            r_idx = list(np.ndindex(*(sites[s] for s in rows)))
+            c_idx = list(np.ndindex(*(sites[s] for s in cols)))
+            t = mp.matrix(len(r_idx), len(c_idx))
+            for i, x in enumerate(r_idx):
+                for j, y in enumerate(c_idx):
+                    where = dict(zip(rows + cols, x + y))
+                    t[i, j] = amp[tuple(where[s] for s in range(len(sites)))]
+            return t
+
+        def entropy(rho):
+            vals = mp.eighe(rho, eigvals_only=True)
+            return -mp.fsum(p * mp.log(p) for p in vals if p > 0)
+
+        t_aap = amplitude_matrix(part.a_sites + part.ap_sites, part.b_sites + part.bp_sites)
+        s_aap = entropy(t_aap * t_aap.H)
+
+        t = amplitude_matrix(part.a_sites + part.b_sites, part.ap_sites + part.bp_sites)
+        w, u = mp.eighe(t.H * t)
+        inv_root = u * mp.diag([1 / mp.sqrt(x) for x in w]) * u.H
+        x = t * inv_root * t.H
+        assert mp.mnorm(x * x - t * t.H, 1) < mp.mpf(10) ** (5 - dps)
+
+        # x is the purification with row (a, b) and column (a', b'); trace out b, b'
+        da = math.prod(sites[s] for s in part.a_sites)
+        db = math.prod(sites[s] for s in part.b_sites)
+        rho_r = mp.matrix(da * da, da * da)
+        for a1, ap1, a2, ap2 in np.ndindex(da, da, da, da):
+            rho_r[a1 * da + ap1, a2 * da + ap2] = mp.fsum(
+                x[a1 * db + b, ap1 * db + bp] * mp.conj(x[a2 * db + b, ap2 * db + bp])
+                for b in range(db)
+                for bp in range(db)
+            )
+        return s_aap - entropy(rho_r) / 2
+
+
+@pytest.mark.parametrize("name", ["violation_3322.json", "violation_qubits6.json"])
+def test_gap_matches_mpmath_oracle(name):
+    psi, part, _ = load_fixture_state(name)
+    want30, want = _mp_gap(psi, part, 30), _mp_gap(psi, part, 50)
+    assert abs(want30 - want) < 1e-25
+    g = gap(psi, part)
+    kernel, _, _ = _StateObjective(ObjectiveConfig(psi.dims, part))(psi.amplitudes, want_grad=False)
+    assert abs(g - want) < 1e-13
+    assert abs(kernel - want) < 1e-13
+    assert abs(g - want) < 1e-10 * abs(want)
