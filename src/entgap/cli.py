@@ -68,7 +68,8 @@ def _add_common(p: argparse.ArgumentParser, steps_default: int = 5000) -> None:
     p.add_argument("--master-seed", type=int, default=0, help="shot seeds are master^index")
     p.add_argument("--steps", type=int, default=steps_default)
     p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--parallelism", type=int, default=1)
+    p.add_argument("--parallelism", type=int, default=1,
+                   help="worker processes, >= 1; each steps one contiguous chunk of the seeds")
     p.add_argument("--log-base", choices=("e", "2"), default="e")
     p.add_argument("--out", type=Path, required=True, help="output directory")
 

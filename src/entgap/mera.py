@@ -23,15 +23,14 @@ import numpy as np
 
 from .objective import (
     ObjectiveConfig,
-    UTParams,
     _cached_state_objective,
     _complex_to_real,
     _exp_adjoint,
     _exp_antihermitian,
+    _generator,
     _real_to_complex,
-    matrix_from_params,
 )
-from .optimize import AdamConfig, ShotRecord, descend_shot, guarded_shot, map_shots
+from .optimize import AdamConfig, ShotRecord, lockstep_shots, map_chunks
 from .states import Dims, PartitionSpec, QuditState
 
 GATE_DIM = 4
@@ -122,11 +121,7 @@ def _gate_unitaries(layout: MeraLayout, params: MeraParams):
         raise ValueError(
             f"layout has {layout.num_gates} gates, parameters carry {params.num_gates}"
         )
-    out = []
-    for row in params.entries:
-        u, theta, v = _exp_antihermitian(matrix_from_params(UTParams(GATE_DIM, row)))
-        out.append((u, theta, v))
-    return out
+    return list(zip(*_exp_antihermitian(_generator(params.entries, GATE_DIM))))
 
 
 def mera_state(layout: MeraLayout, params: MeraParams) -> QuditState:
@@ -241,6 +236,22 @@ def initial_mera_params(layout: MeraLayout, rng: np.random.Generator) -> MeraPar
     return MeraParams(ent.reshape(layout.num_gates, ENTRIES_PER_GATE))
 
 
+def _mera_shots(
+    layout: MeraLayout, cfg: ObjectiveConfig, adam: AdamConfig, gradient: str, seeds: Sequence[int]
+) -> list[ShotRecord]:
+    """MERA shots for the seeds in one lockstep stack, evaluated one row at a time."""
+
+    def vg(x: np.ndarray):
+        rows = [mera_value_and_gradient(layout, _unflatten(r, layout.num_gates), cfg, gradient)
+                for r in x]
+        return np.array([v for v, _ in rows]), np.array([g for _, g in rows])
+
+    def init(rng: np.random.Generator) -> np.ndarray:
+        return _flatten(initial_mera_params(layout, rng))
+
+    return lockstep_shots(cfg, adam, seeds, init, vg, "mera", layout.num_entries)
+
+
 def run_mera_shot(
     layout: MeraLayout,
     cfg: ObjectiveConfig,
@@ -249,14 +260,7 @@ def run_mera_shot(
     gradient: str = "analytic",
 ) -> ShotRecord:
     """One seeded MERA search shot, run by the same protocol as optimize.run_shot."""
-
-    def vg(x: np.ndarray):
-        return mera_value_and_gradient(layout, _unflatten(x, layout.num_gates), cfg, gradient)
-
-    def init(rng: np.random.Generator) -> np.ndarray:
-        return _flatten(initial_mera_params(layout, rng))
-
-    return descend_shot(cfg, adam, seed, init, vg, "mera")
+    return _mera_shots(layout, cfg, adam, gradient, [seed])[0]
 
 
 def run_mera_search(
@@ -268,9 +272,7 @@ def run_mera_search(
     parallelism: int = 1,
 ) -> list[ShotRecord]:
     """Batched MERA shots, results in seed order."""
-    worker = partial(guarded_shot, partial(run_mera_shot, layout, cfg, adam, gradient=gradient),
-                     cfg, layout.num_entries, "mera")
-    return map_shots(worker, list(seeds), parallelism)
+    return map_chunks(partial(_mera_shots, layout, cfg, adam, gradient), list(seeds), parallelism)
 
 
 def mera_state_from_record(record: ShotRecord) -> QuditState:

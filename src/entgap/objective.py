@@ -18,6 +18,12 @@ matrices.  Both divided differences are closed forms that stay exact as
 eigenvalue pairs merge: a sinc for the exponential and 1/(r_i + r_j) on the
 clipped roots for the square root.  Eigenvalues below
 :data:`entgap.entropy.CLIP_EPS` contribute nothing.
+
+The kernel works on stacks: every array carries leading stack axes, so a
+search evaluates S parameter points with one call
+(:func:`stacked_value_and_gradient`) and each numpy call, ``eigh`` and
+``matmul`` included, acts on each point alone.  One point is the same code
+on a stack of one.
 """
 
 from __future__ import annotations
@@ -90,23 +96,31 @@ def _ut_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+def _generator(entries: np.ndarray, d: int) -> np.ndarray:
+    """Dense upper-triangular M (..., d, d) from packed entry vectors (..., d(d+1)/2)."""
+    m = np.zeros(entries.shape[:-1] + (d, d), dtype=np.complex128)
+    rows, cols = _ut_indices(d)
+    m[..., rows, cols] = entries
+    return m
+
+
 def matrix_from_params(p: UTParams) -> np.ndarray:
     """Dense upper-triangular M from the packed entry vector."""
-    m = np.zeros((p.d, p.d), dtype=np.complex128)
-    rows, cols = _ut_indices(p.d)
-    m[rows, cols] = p.entries
-    return m
+    return _generator(p.entries, p.d)
+
+
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
 
 
 def _exp_antihermitian(m: np.ndarray):
     """U = exp(M - M^dag) via eigendecomposition of the Hermitian i(M - M^dag).
 
     Returns (U, theta, V) with H = i(M - M^dag) = V diag(theta) V^dag and
-    U = V diag(exp(-i theta)) V^dag.
+    U = V diag(exp(-i theta)) V^dag, for M of shape (..., d, d).
     """
-    h = 1j * (m - m.conj().T)
-    theta, v = np.linalg.eigh(h)
-    u = (v * np.exp(-1j * theta)) @ v.conj().T
+    theta, v = np.linalg.eigh(1j * (m - _dagger(m)))
+    u = (v * np.exp(-1j * theta)[..., None, :]) @ _dagger(v)
     return u, theta, v
 
 
@@ -116,24 +130,26 @@ def _exp_adjoint(theta: np.ndarray, v: np.ndarray, g_u: np.ndarray) -> np.ndarra
     The divided difference of exp(-i theta) is written in closed form,
     -i exp(-i mean) sin(diff/2) / (diff/2), so it does not cancel as pairs merge.
     """
-    mean = 0.5 * (theta[:, None] + theta[None, :])
-    diff = theta[:, None] - theta[None, :]
-    phi = -1j * np.exp(-1j * mean) * np.sinc(diff / (2.0 * np.pi))
-    b = v.conj().T @ g_u @ v
-    g_h = v @ (b * phi.conj()) @ v.conj().T
-    return 0.5 * (g_h + g_h.conj().T)
+    th_i, th_j = theta[..., :, None], theta[..., None, :]
+    # no intermediate is kept, so a stack holds few (S, d, d) arrays at once
+    phc = (-1j * np.exp(-1j * (0.5 * (th_i + th_j))) * np.sinc((th_i - th_j) / (2.0 * np.pi))).conj()
+    # V^dag g_U V stays the left operand: numpy reuses a temporary operand of
+    # 256 KiB or more as the output, so a temporary right operand would swap the
+    # operands of this complex product, which round differently under FMA
+    g_h = v @ ((_dagger(v) @ g_u @ v) * phc) @ _dagger(v)
+    return 0.5 * (g_h + _dagger(g_h))
 
 
 def _complex_to_real(entries: np.ndarray) -> np.ndarray:
-    """Interleaved (real, imaginary) pairs of a complex vector."""
-    out = np.empty(2 * entries.shape[0])
-    out[0::2] = entries.real
-    out[1::2] = entries.imag
+    """Interleaved (real, imaginary) pairs of complex vectors along the last axis."""
+    out = np.empty(entries.shape[:-1] + (2 * entries.shape[-1],))
+    out[..., 0::2] = entries.real
+    out[..., 1::2] = entries.imag
     return out
 
 
 def _real_to_complex(vec: np.ndarray) -> np.ndarray:
-    return vec[0::2] + 1j * vec[1::2]
+    return vec[..., 0::2] + 1j * vec[..., 1::2]
 
 
 def unitary_from_params(p: UTParams) -> np.ndarray:
@@ -219,50 +235,65 @@ def penalized_gap(
 
 
 class _Marginal:
-    """Cached permutation data for one reduced density matrix of a pure state."""
+    """Cached permutation data for one reduced density matrix of a stack of pure states (S, N)."""
 
-    __slots__ = ("shape", "perm", "inv_perm", "dk", "dr")
+    __slots__ = ("shape", "kept_shape", "axes", "inv_axes", "dk", "dr")
 
     def __init__(self, sites: Sequence[int], keep_order: Sequence[int]):
         n = len(sites)
         rest = [i for i in range(n) if i not in set(keep_order)]
-        self.shape = tuple(sites)
-        self.perm = list(keep_order) + rest
-        self.inv_perm = list(np.argsort(self.perm))
+        perm = list(keep_order) + rest
+        self.shape = (-1,) + tuple(sites)
+        self.kept_shape = (-1,) + tuple(sites[i] for i in perm)
+        # site permutations that keep the stack axis in front
+        self.axes = (0,) + tuple(1 + i for i in perm)
+        self.inv_axes = (0,) + tuple(1 + int(i) for i in np.argsort(perm))
         self.dk = prod(sites[i] for i in keep_order)
         self.dr = prod(sites[i] for i in rest) if rest else 1
 
     def forward(self, amps: np.ndarray):
-        t = amps.reshape(self.shape).transpose(self.perm).reshape(self.dk, self.dr)
-        return t @ t.conj().T, t
+        t = amps.reshape(self.shape).transpose(self.axes).reshape(-1, self.dk, self.dr)
+        return t @ _dagger(t), t
 
     def backward(self, g_rho: np.ndarray, t: np.ndarray) -> np.ndarray:
         # d f = Re tr(G^dag d rho) with Hermitian G gives G_T = 2 G T
         g_t = 2.0 * (g_rho @ t)
-        shp = tuple(self.shape[i] for i in self.perm)
-        return g_t.reshape(shp).transpose(self.inv_perm).reshape(-1)
+        return g_t.reshape(self.kept_shape).transpose(self.inv_axes).reshape(len(g_t), -1)
+
+
+def _suffix_sum(terms: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Each row's sum of terms[start:], added as np.sum adds that slice alone.
+
+    np.sum's pairwise blocks depend on where a term sits, so summing a whole row
+    with zeros in front would round differently from the unpadded slice.
+    """
+    out = np.empty(len(terms))
+    for k in set(start.tolist()):
+        rows = start == k
+        out[rows] = terms[rows, k:].sum(axis=-1)
+    return out
 
 
 def _entropy_grad_diag(vals: np.ndarray, q: float, log_div: float):
-    """Entropy value and d(entropy)/d(eigenvalue), on a raw eigh spectrum.
+    """Entropy values and d(entropy)/d(eigenvalue) of raw eigh spectra (S, n).
 
     Clipped eigenvalues (|v| < CLIP_EPS, plus roundoff negatives) carry zero
-    derivative, consistent with their exclusion from the entropy sum.
+    derivative, consistent with their exclusion from the entropy sum.  eigh
+    sorts ascending, so the kept eigenvalues of each row are a suffix.
     """
     clipped = clipped_eigenvalues(vals)
     pos = clipped > 0.0
-    g = np.zeros_like(clipped)
-    if not np.any(pos):
-        return 0.0, g
-    lam = clipped[pos]
+    start = vals.shape[-1] - pos.sum(axis=-1)
+    lam = np.where(pos, clipped, 1.0)
     if q == 1.0:
-        value = float(-np.sum(lam * np.log(lam)))
-        g[pos] = -np.log(lam) - 1.0
+        log_lam = np.log(lam)
+        value = -_suffix_sum(lam * log_lam, start)
+        g = -log_lam - 1.0
     else:
-        s = float(np.sum(lam**q))
-        value = float(np.log(s) / (1.0 - q))
-        g[pos] = (q / (1.0 - q)) * lam ** (q - 1.0) / s
-    return value / log_div, g / log_div
+        s = _suffix_sum(lam**q, start)
+        value = np.log(s) / (1.0 - q)
+        g = (q / (1.0 - q)) * lam ** (q - 1.0) / s[:, None]
+    return value / log_div, np.where(pos, g, 0.0) / log_div
 
 
 def _sqrt_dk_matrix(root: np.ndarray) -> np.ndarray:
@@ -273,7 +304,7 @@ def _sqrt_dk_matrix(root: np.ndarray) -> np.ndarray:
     kernel get 0: their perturbation block vanishes to first order for reduced
     densities of pure states, since rho = T T^dag.
     """
-    total = root[:, None] + root[None, :]
+    total = root[..., :, None] + root[..., None, :]
     return np.divide(1.0, total, out=np.zeros_like(total), where=total > 0.0)
 
 
@@ -281,7 +312,9 @@ class _StateObjective:
     """Value and state-space gradient of the (penalized) gap for one config.
 
     Instances cache every site permutation needed for the marginals, so a
-    single object can be reused across thousands of optimizer steps.
+    single object can be reused across thousands of optimizer steps.  A call
+    takes one state (N,) or a stack of states (S, N) and treats rows
+    independently: row s of a stack gives bit for bit what state s gives alone.
     """
 
     def __init__(self, config: ObjectiveConfig):
@@ -308,7 +341,11 @@ class _StateObjective:
             self.i3_terms = [(_Marginal(sites, keep), sign) for keep, sign in terms]
 
     def __call__(self, amps: np.ndarray, want_grad: bool = True):
-        """Return (value, grad_wrt_amps or None, extras dict)."""
+        """Return (value, grad_wrt_amps or None, extras dict), one entry per state."""
+        if amps.ndim == 1:
+            value, g_psi, extras = self(amps[None], want_grad)
+            g_psi = None if g_psi is None else g_psi[0]
+            return value[0], g_psi, {k: v[0] for k, v in extras.items()}
         q, log_div = self.q, self.log_div
 
         rho1, t1 = self.marg_aap.forward(amps)
@@ -322,8 +359,8 @@ class _StateObjective:
         # sub-clip eigenvalues are structural zeros of the rank-deficient
         # marginal; rooting them would inject sqrt(roundoff) noise
         root = np.where(mu >= CLIP_EPS, np.sqrt(np.clip(mu, 0.0, None)), 0.0)
-        x = (vr * root) @ vr.conj().T
-        phi = x.reshape(-1)
+        x = (vr * root[:, None, :]) @ _dagger(vr)
+        phi = x.reshape(len(x), -1)
 
         rho2, t2 = self.marg_ref.forward(phi)
         lam2, w2 = np.linalg.eigh(rho2)
@@ -333,42 +370,46 @@ class _StateObjective:
         value = gap_value
         extras = {"gap": gap_value, "s_aap": s_aap, "s_reflected": s_ref}
 
-        pen_cache = None
+        hinge = None
         if self.penalty:
             m_i3, pen = -s_aap, []
             for marg, sign in self.i3_terms:
                 rho_s, t_s = marg.forward(amps)
                 lam_s, w_s = np.linalg.eigh(rho_s)
                 s_val, g_s = _entropy_grad_diag(lam_s, 1.0, log_div)
-                m_i3 += sign * s_val
+                m_i3 = m_i3 + sign * s_val
                 pen.append((marg, sign * g_s, w_s, t_s))
             extras["max_tmi"] = m_i3
-            if m_i3 > 0.0:
-                value = value + self.weight * m_i3
-                pen_cache = pen
+            hinge = m_i3 > 0.0  # switched per state
+            value = np.where(hinge, value + self.weight * m_i3, value)
+            if not hinge.any():
+                hinge = None
 
-        if not np.isfinite(value):
-            raise FloatingPointError(f"objective is not finite: {value!r}")
+        if not np.all(np.isfinite(value)):
+            bad = float(value[~np.isfinite(value)][0])
+            raise FloatingPointError(f"objective is not finite: {bad!r}")
         if not want_grad:
             return value, None, extras
 
-        if pen_cache is not None:
-            g1 = (1.0 - self.weight) * g1  # the hinge's -weight * S_AA'
-        g_rho1 = (w1 * g1) @ w1.conj().T
+        if hinge is not None:
+            g1 = np.where(hinge[:, None], (1.0 - self.weight) * g1, g1)  # the hinge's -weight * S_AA'
+        g_rho1 = (w1 * g1[:, None, :]) @ _dagger(w1)
         g_psi = self.marg_aap.backward(g_rho1, t1)
 
-        g_rho2 = (w2 * (-0.5 * g2)) @ w2.conj().T
+        g_rho2 = (w2 * (-0.5 * g2)[:, None, :]) @ _dagger(w2)
         g_phi = self.marg_ref.backward(g_rho2, t2)
-        g_x = g_phi.reshape(self.d_ab, self.d_ab)
-        g_x = 0.5 * (g_x + g_x.conj().T)
+        g_x = g_phi.reshape(-1, self.d_ab, self.d_ab)
+        g_x = 0.5 * (g_x + _dagger(g_x))
         k = _sqrt_dk_matrix(root)
-        g_rho_ab = vr @ ((vr.conj().T @ g_x @ vr) * k) @ vr.conj().T
+        g_rho_ab = vr @ ((_dagger(vr) @ g_x @ vr) * k) @ _dagger(vr)
         g_psi = g_psi + self.marg_ab.backward(g_rho_ab, t_ab)
 
-        if pen_cache is not None:
-            for marg, g_s, w_s, t_s in pen_cache:
-                g_rho_s = (w_s * (self.weight * g_s)) @ w_s.conj().T
-                g_psi = g_psi + marg.backward(g_rho_s, t_s)
+        if hinge is not None:
+            g_pen = g_psi
+            for marg, g_s, w_s, t_s in pen:
+                g_rho_s = (w_s * (self.weight * g_s)[:, None, :]) @ _dagger(w_s)
+                g_pen = g_pen + marg.backward(g_rho_s, t_s)
+            g_psi = np.where(hinge[:, None], g_pen, g_psi)
 
         if not np.all(np.isfinite(g_psi)):
             raise FloatingPointError("state-space gradient is not finite")
@@ -380,8 +421,11 @@ def _cached_state_objective(config: ObjectiveConfig) -> _StateObjective:
     return _StateObjective(config)
 
 
+@lru_cache(maxsize=32)
 def _chi(dims: Dims) -> np.ndarray:
-    return equal_superposition(dims).amplitudes
+    chi = equal_superposition(dims).amplitudes
+    chi.setflags(write=False)
+    return chi
 
 
 def objective_value(p: UTParams, config: ObjectiveConfig) -> float:
@@ -393,30 +437,53 @@ def objective_value(p: UTParams, config: ObjectiveConfig) -> float:
 def objective_value_and_gradient(
     p: UTParams, config: ObjectiveConfig, want_grad: bool = True
 ):
-    """Objective value, its gradient, and diagnostic extras.
+    """Objective value, its gradient, and diagnostic extras of one parameter point.
 
     The gradient is a real vector of length d(d+1): interleaved
     (d/dRe, d/dIm) pairs for each upper-triangular entry of M in row-major
-    order.  Raises FloatingPointError on non-finite intermediates.
+    order.  Raises FloatingPointError on non-finite intermediates.  This is
+    the stacked kernel of :func:`stacked_value_and_gradient` on a stack of one.
     """
     if p.d != config.dims.total:
         raise ValueError(f"parameter dimension {p.d} does not match dims {config.dims.sites}")
-    obj = _cached_state_objective(config)
-    m = matrix_from_params(p)
-    u, theta, v = _exp_antihermitian(m)
+    values, g_entries, extras = _unitary_objective(p.entries[None], config, want_grad)
+    grad = None if g_entries is None else _complex_to_real(g_entries[0])
+    return float(values[0]), grad, {k: float(v[0]) for k, v in extras.items()}
+
+
+def stacked_value_and_gradient(x: np.ndarray, config: ObjectiveConfig, want_grad: bool = True):
+    """Objective values (S,), gradients (S, d(d+1)) and extras of S parameter points.
+
+    ``x`` holds one real parameter vector per row, laid out as the gradient of
+    :func:`objective_value_and_gradient`.  Rows are independent: each one's
+    results are bit for bit those of the row evaluated alone.  Raises
+    ValueError on non-finite parameters and FloatingPointError on non-finite
+    intermediates in any row.
+    """
+    if not np.all(np.isfinite(x)):
+        raise ValueError("parameter entries must be finite")
+    values, g_entries, extras = _unitary_objective(_real_to_complex(x), config, want_grad)
+    grads = None if g_entries is None else _complex_to_real(g_entries)
+    return values, grads, extras
+
+
+def _unitary_objective(entries: np.ndarray, config: ObjectiveConfig, want_grad: bool):
+    """Values, complex gradients over the entries, and extras of generator entry rows (S, n)."""
+    d = config.dims.total
+    u, theta, v = _exp_antihermitian(_generator(entries, d))
     chi = _chi(config.dims)
     psi = u @ chi
-    value, g_psi, extras = obj(psi, want_grad=want_grad)
+    del u  # the adjoint needs theta and V only; a stack of U is S d^2 complex numbers
+    values, g_psi, extras = _cached_state_objective(config)(psi, want_grad=want_grad)
     if not want_grad:
-        return value, None, extras
-    g_u = np.outer(g_psi, chi.conj())
+        return values, None, extras
+    g_u = g_psi[:, :, None] * chi.conj()
     g_h = _exp_adjoint(theta, v, g_u)
-    rows, cols = _ut_indices(p.d)
-    g_entries = -2j * g_h[rows, cols]
-    grad = _complex_to_real(g_entries)
-    if not np.all(np.isfinite(grad)):
+    rows, cols = _ut_indices(d)
+    g_entries = -2j * g_h[:, rows, cols]
+    if not np.all(np.isfinite(g_entries)):
         raise FloatingPointError("parameter gradient is not finite")
-    return value, grad, extras
+    return values, g_entries, extras
 
 
 def objective_gradient(p: UTParams, config: ObjectiveConfig) -> np.ndarray:

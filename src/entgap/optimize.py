@@ -1,9 +1,17 @@
 """ADAM descent on the unitary parametrization, batched shots, and q-sweeps.
 
+Shots run in lockstep: :func:`descend` advances a stack of S shots (S, n)
+with one stacked objective call and one :func:`adam_step` call per step,
+tracks each shot's best point and trace, and retires a shot alone when it
+fails.  A batch splits its seeds into ``parallelism`` contiguous chunks,
+one per worker, and each worker steps its chunk as one stack.
+
 Reproducibility contract: every shot owns a PCG64 generator seeded with its
 shot seed, shot seeds derive from a master seed as ``master ^ shot_index``,
-and batch results are returned in seed order regardless of the execution
-parallelism, so (seed, configs) fully determine each record.
+every stacked operation treats shots independently (a shot steps bit for
+bit as it would alone), and batch results are returned in seed order
+regardless of the execution parallelism, so (seed, configs) fully
+determine each record.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from .objective import (
     UTParams,
     _complex_to_real,
     _real_to_complex,
-    objective_value_and_gradient,
+    stacked_value_and_gradient,
     state_from_params,
 )
 from .states import Dims, PartitionSpec, QuditState
@@ -58,20 +66,23 @@ class AdamState:
     v: np.ndarray
 
     @staticmethod
-    def zeros(n: int) -> "AdamState":
-        return AdamState(np.zeros(n), np.zeros(n))
+    def zeros(shape) -> "AdamState":
+        return AdamState(np.zeros(shape), np.zeros(shape))
+
+
+NONFINITE_GRADIENT = "non-finite gradient in adam_step"
 
 
 def adam_step(
     params: np.ndarray, grad: np.ndarray, moment_state: AdamState, t: int, cfg: AdamConfig
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected ADAM update on a real parameter vector (t >= 1)."""
+    """One bias-corrected ADAM update on real parameters, one vector or a stack (t >= 1)."""
     if t < 1:
         raise ValueError("step index t must be >= 1")
     if params.shape != grad.shape or params.shape != moment_state.m.shape:
         raise ValueError("parameter, gradient, and moment shapes disagree")
     if not np.all(np.isfinite(grad)):
-        raise FloatingPointError("non-finite gradient in adam_step")
+        raise FloatingPointError(NONFINITE_GRADIENT)
     m = cfg.beta1 * moment_state.m + (1.0 - cfg.beta1) * grad
     v = cfg.beta2 * moment_state.v + (1.0 - cfg.beta2) * grad * grad
     m_hat = m / (1.0 - cfg.beta1**t)
@@ -122,101 +133,148 @@ def initial_params(d: int, rng: np.random.Generator) -> UTParams:
     return UTParams(d, (raw[0::2] + 1j * raw[1::2]) / np.sqrt(2.0 * d))
 
 
-ValueGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]
+StackValueGrad = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def _evaluate(value_and_grad: StackValueGrad, x: np.ndarray):
+    """Objectives and gradients of the rows of x, and the exception of each row that raised.
+
+    If the stacked call raises, each row is evaluated alone to find the rows at fault.
+    """
+    try:
+        values, grads = value_and_grad(x)
+        return np.asarray(values, dtype=np.float64), grads, {}
+    except Exception:
+        pass
+    values, grads, errors = np.full(len(x), np.nan), np.zeros_like(x), {}
+    for j in range(len(x)):
+        try:
+            value, grad = value_and_grad(x[j:j + 1])
+        except Exception as exc:
+            errors[j] = exc
+        else:
+            values[j], grads[j] = value[0], grad[0]
+    return values, grads, errors
 
 
 def descend(
     x0: np.ndarray,
-    value_and_grad: ValueGrad,
+    value_and_grad: StackValueGrad,
     adam: AdamConfig,
-) -> tuple[float, np.ndarray, int, list[float], bool, str]:
-    """Run ADAM from x0, tracking the best objective over the whole trajectory.
+) -> list:
+    """Run ADAM in lockstep from every row of x0 (S, n), tracking each row's best objective.
 
-    Returns (best_value, best_x, steps_run, trace, failed, note).  The
-    objective is evaluated at the pre-update point of every step, so the
-    trace has one entry per completed step and best_value == min(trace).
+    ``value_and_grad`` maps a stack of points (k, n) to objectives (k,) and
+    gradients (k, n) and must treat rows independently, so a row steps bit for
+    bit as it would alone.  A FloatingPointError or a non-finite objective ends
+    a row early with what it found so far; any other exception, or a
+    non-finite gradient, which adam_step rejects, fails the row outright.
+
+    Returns, per row, the exception that failed it or (best_value, best_x,
+    steps_run, trace, failed, note).  The objective is evaluated at the
+    pre-update point of every step, so the trace has one entry per completed
+    step and best_value == min(trace).
     """
-    x = x0.copy()
-    state = AdamState.zeros(x.shape[0])
-    trace: list[float] = []
-    best_value = np.inf
+    x = np.array(x0, dtype=np.float64)
+    rows = np.arange(x.shape[0])  # the x0 row of each stack row
+    state = AdamState.zeros(x.shape)
+    traces = np.empty((x.shape[0], adam.steps))
+    best = np.full(x.shape[0], np.inf)
     best_x = x.copy()
+    out: list = [None] * x.shape[0]
+
+    def stop(j: int, t: int, note: str) -> None:
+        i = rows[j]
+        out[i] = (float(best[i]), best_x[i].copy(), t - 1, traces[i, :t - 1].copy(), True, note)
+
     for t in range(1, adam.steps + 1):
-        try:
-            value, grad = value_and_grad(x)
-        except FloatingPointError as exc:
-            return best_value, best_x, t - 1, trace, True, str(exc)
-        if not np.isfinite(value):
-            return best_value, best_x, t - 1, trace, True, f"non-finite objective {value!r}"
-        trace.append(value)
-        if value < best_value:
-            best_value = value
-            best_x = x.copy()
-        x, state = adam_step(x, grad, state, t, adam)
-    return best_value, best_x, len(trace), trace, False, ""
+        values, grads, errors = _evaluate(value_and_grad, x)
+        live = np.isfinite(values) & np.all(np.isfinite(grads), axis=1)
+        if not live.all():
+            for j in np.flatnonzero(~live):
+                exc = errors.get(j)
+                if isinstance(exc, FloatingPointError):
+                    stop(j, t, str(exc))
+                elif exc is not None:
+                    out[rows[j]] = exc
+                elif not np.isfinite(values[j]):
+                    stop(j, t, f"non-finite objective {float(values[j])!r}")
+                else:
+                    out[rows[j]] = FloatingPointError(NONFINITE_GRADIENT)
+            x, values, grads, rows = x[live], values[live], grads[live], rows[live]
+            state = AdamState(state.m[live], state.v[live])
+            if not len(rows):
+                break
+        traces[rows, t - 1] = values
+        better = values < best[rows]
+        best[rows[better]] = values[better]
+        best_x[rows[better]] = x[better]
+        x, state = adam_step(x, grads, state, t, adam)
+    for i in rows:
+        out[i] = (float(best[i]), best_x[i].copy(), adam.steps, traces[i].copy(), False, "")
+    return out
 
 
-def descend_shot(
-    cfg: ObjectiveConfig, adam: AdamConfig, seed: int,
-    init: Callable[[np.random.Generator], np.ndarray], value_and_grad: ValueGrad, family: str,
-) -> ShotRecord:
-    """One seeded shot of either search family: ADAM on ``value_and_grad`` from ``init(rng)``.
+# shots stepped as one stack: memory grows with the stack, speed barely past this
+MAX_STACK = 64
 
-    ``rng`` is the shot's own PCG64 generator, seeded with ``seed``.  The best
-    real point is recorded as complex entries (interleaved real/imaginary pairs).
+
+def lockstep_shots(
+    cfg: ObjectiveConfig, adam: AdamConfig, seeds: Sequence[int],
+    init: Callable[[np.random.Generator], np.ndarray], value_and_grad: StackValueGrad,
+    family: str, num_entries: int,
+) -> list[ShotRecord]:
+    """Seeded shots of either search family, stepped together by :func:`descend`.
+
+    Shot ``seed`` starts at ``init(rng)``, where ``rng`` is its own PCG64
+    generator seeded with ``seed``, so each record depends on its seed alone.
+    Seeds are stepped in stacks of at most MAX_STACK.  The best real point is
+    recorded as complex entries (interleaved real/imaginary pairs).  Records
+    come in seed order.
     """
-    x0 = init(np.random.Generator(np.random.PCG64(seed)))
-    best, best_x, steps_run, trace, failed, note = descend(x0, value_and_grad, adam)
-    return ShotRecord(
-        seed=int(seed),
-        dims=cfg.dims.sites,
-        partition=cfg.partition,
-        q_trained=cfg.q,
-        best_gap=float(best),
-        best_params=_real_to_complex(best_x),
-        steps_run=steps_run,
-        objective_trace=np.asarray(trace),
-        failed=failed,
-        note=note,
-        family=family,
-    )
-
-
-def run_shot(cfg: ObjectiveConfig, adam: AdamConfig, seed: int) -> ShotRecord:
-    """One seeded shot of the gap search; deterministic in (cfg, adam, seed)."""
-    d = cfg.dims.total
-
-    def vg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad, _ = objective_value_and_gradient(UTParams(d, _real_to_complex(x)), cfg)
-        return value, grad
-
-    def init(rng: np.random.Generator) -> np.ndarray:
-        return _complex_to_real(initial_params(d, rng).entries)
-
-    return descend_shot(cfg, adam, seed, init, vg, "unitary")
-
-
-def guarded_shot(
-    shot: Callable[[int], ShotRecord], cfg: ObjectiveConfig, num_entries: int, family: str,
-    seed: int,
-) -> ShotRecord:
-    """``shot(seed)``, or if it raises a record of no steps, objective inf, the error as note."""
-    try:
-        return shot(seed)
-    except Exception as exc:  # record the failure, keep the batch going
-        return ShotRecord(
+    outcomes = []
+    for i in range(0, len(seeds), MAX_STACK):
+        x0 = np.stack([init(np.random.Generator(np.random.PCG64(s))) for s in seeds[i:i + MAX_STACK]])
+        outcomes += descend(x0, value_and_grad, adam)
+    records = []
+    for seed, res in zip(seeds, outcomes):
+        if isinstance(res, Exception):  # failed outright: no steps, objective inf
+            res = (np.inf, np.zeros(2 * num_entries), 0, np.zeros(0), True,
+                   f"{type(res).__name__}: {res}")
+        best, best_x, steps_run, trace, failed, note = res
+        records.append(ShotRecord(
             seed=int(seed),
             dims=cfg.dims.sites,
             partition=cfg.partition,
             q_trained=cfg.q,
-            best_gap=float("inf"),
-            best_params=np.zeros(num_entries, dtype=np.complex128),
-            steps_run=0,
-            objective_trace=np.zeros(0),
-            failed=True,
-            note=f"{type(exc).__name__}: {exc}",
+            best_gap=float(best),
+            best_params=_real_to_complex(best_x),
+            steps_run=steps_run,
+            objective_trace=trace,
+            failed=failed,
+            note=note,
             family=family,
-        )
+        ))
+    return records
+
+
+def run_shots(cfg: ObjectiveConfig, adam: AdamConfig, seeds: Sequence[int]) -> list[ShotRecord]:
+    """Gap-search shots for the seeds, in one lockstep stack; deterministic in (cfg, adam, seed)."""
+    d = cfg.dims.total
+
+    def vg(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values, grads, _ = stacked_value_and_gradient(x, cfg)
+        return values, grads
+
+    def init(rng: np.random.Generator) -> np.ndarray:
+        return _complex_to_real(initial_params(d, rng).entries)
+
+    return lockstep_shots(cfg, adam, seeds, init, vg, "unitary", UTParams.num_entries(d))
+
+
+def run_shot(cfg: ObjectiveConfig, adam: AdamConfig, seed: int) -> ShotRecord:
+    """One seeded shot of the gap search: :func:`run_shots` on a stack of one."""
+    return run_shots(cfg, adam, [seed])[0]
 
 
 def _one_blas_thread() -> None:
@@ -233,18 +291,28 @@ def run_batch(
     parallelism: int = 1,
 ) -> list[ShotRecord]:
     """Independent shots for every seed, results in seed order."""
-    worker = partial(guarded_shot, partial(run_shot, cfg, adam), cfg,
-                     UTParams.num_entries(cfg.dims.total), "unitary")
-    return map_shots(worker, list(seeds), parallelism)
+    return map_chunks(partial(run_shots, cfg, adam), list(seeds), parallelism)
 
 
-def map_shots(worker: Callable, jobs: list, parallelism: int) -> list[ShotRecord]:
+def map_chunks(run: Callable[[list], list], seeds: list, parallelism: int) -> list[ShotRecord]:
+    """``run`` on ``parallelism`` contiguous chunks of the seeds, one per worker, in seed order."""
+    if not seeds:
+        raise ValueError("seeds must be non-empty")
+    k = max(1, min(parallelism, len(seeds)))
+    chunks = [seeds[len(seeds) * i // k:len(seeds) * (i + 1) // k] for i in range(k)]
+    return [rec for part in map_shots(run, chunks, parallelism) for rec in part]
+
+
+def map_shots(worker: Callable, jobs: list, parallelism: int) -> list:
     """``worker`` over the jobs, in order; in one-BLAS-thread workers when parallelism > 1."""
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
     if not jobs:
         raise ValueError("seeds must be non-empty")
-    if parallelism <= 1 or len(jobs) == 1:
+    if parallelism == 1 or len(jobs) == 1:
         return [worker(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=parallelism, initializer=_one_blas_thread) as pool:
+    with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs)),
+                             initializer=_one_blas_thread) as pool:
         return list(pool.map(worker, jobs))
 
 

@@ -274,10 +274,10 @@ def test_cli_tmi_filters_on_the_rebuilt_gap(tmp_path):
 
 @pytest.mark.parametrize(
     "argv,target",
-    [(["optimize", "--dims", "2,2,2,2"], "entgap.optimize.objective_value_and_gradient"),
+    [(["optimize", "--dims", "2,2,2,2"], "entgap.optimize.stacked_value_and_gradient"),
      (["mera", "--qubits", "8", "--gradient", "analytic"], "entgap.mera.mera_value_and_gradient"),
      (["sweep", "--dims", "2,2,2,2", "--train-q", "1.0"],
-      "entgap.optimize.objective_value_and_gradient")],
+      "entgap.optimize.stacked_value_and_gradient")],
 )
 def test_cli_every_shot_failed_exits_1_with_notes(tmp_path, monkeypatch, capsys, argv, target):
     def blow_up(*args, **kwargs):
@@ -291,6 +291,19 @@ def test_cli_every_shot_failed_exits_1_with_notes(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     for seed in (0, 1):
         assert f"seed {seed} failed: objective is not finite: nan" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["optimize", "--dims", "2,2,2,2"], ["sweep", "--dims", "2,2,2,2", "--train-q", "1.0"],
+             ["mera", "--qubits", "8"]],
+)
+@pytest.mark.parametrize("parallelism", ["0", "-2"])
+def test_cli_rejects_parallelism_below_one(tmp_path, capsys, argv, parallelism):
+    rc = main(argv + ["--seeds", "2", "--steps", "2", "--parallelism", parallelism,
+                      "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"parallelism must be >= 1, got {parallelism}" in capsys.readouterr().err
+    assert not (tmp_path / "shots.jsonl").exists()
 
 
 def test_cli_optimize_names_the_penalized_objective(tmp_path, capsys):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from entgap.entropy import EntropyConfig, max_tmi, von_neumann
+from entgap.entropy import CLIP_EPS, EntropyConfig, max_tmi, von_neumann
 from entgap.objective import (
     ObjectiveConfig,
     UTParams,
+    _entropy_grad_diag,
     _StateObjective,
     gap,
     matrix_from_params,
@@ -327,7 +328,7 @@ def test_eigh_calls_per_step_3322(monkeypatch, rng):
     real = np.linalg.eigh
 
     def counting(a, *args, **kwargs):
-        sizes.append(a.shape[0])
+        sizes.append(a.shape[-1])
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
@@ -349,6 +350,34 @@ def test_penalized_gradient_matches_fd_hinge_inactive(rng):
     assert extras["max_tmi"] < 0.0
     assert value == pytest.approx(extras["gap"], abs=1e-15)
     assert grad_close(g, fd_gradient(p, cfg))
+
+
+@pytest.mark.parametrize("n", [6, 9, 16])
+@pytest.mark.parametrize("q", [1.0, 0.5, 2.0])
+def test_stacked_entropies_add_each_row_as_its_kept_eigenvalues_alone(rng, n, q):
+    # one stack holds rows with 0..5 clipped eigenvalues; each row's entropy must
+    # round as the sum over its kept eigenvalues only, as one spectrum alone does
+    vals = rng.uniform(0.01, 1.0, (6, n))
+    for j in range(6):
+        vals[j, :j] = rng.uniform(-1e-13, 1e-13, j)
+    vals = np.sort(vals, axis=1)  # eigh order
+    values, grads = _entropy_grad_diag(vals, q, 1.0)
+    for row, value, g in zip(vals, values, grads):
+        lam = row[row >= CLIP_EPS]
+        want = -np.sum(lam * np.log(lam)) if q == 1.0 else np.log(np.sum(lam**q)) / (1.0 - q)
+        assert value == want
+        assert np.all(g[row < CLIP_EPS] == 0.0)
+
+
+def test_state_objective_stack_rows_equal_single_states(rng):
+    dims = Dims((3, 3, 2, 2))
+    obj = _StateObjective(ObjectiveConfig(dims, default_partition(dims), penalty_enabled=True))
+    stack = np.stack([random_state(dims, rng).amplitudes for _ in range(5)])
+    values, g_psi, extras = obj(stack)
+    for j, amps in enumerate(stack):
+        value, g, ext = obj(amps)
+        assert value == values[j] and np.array_equal(g, g_psi[j])
+        assert ext == {k: v[j] for k, v in extras.items()}
 
 
 def test_params_validation():

@@ -7,7 +7,7 @@ import pytest
 
 from entgap.entropy import EntropyConfig
 from entgap.io import shot_to_dict
-from entgap.objective import ObjectiveConfig, gap
+from entgap.objective import ObjectiveConfig, UTParams, gap
 from entgap.optimize import (
     AdamConfig,
     AdamState,
@@ -153,46 +153,152 @@ def test_descend_aborts_on_nonfinite_objective():
 
     def vg(x):
         calls["n"] += 1
+        values = np.sum(x * x, axis=1)
         if calls["n"] > 3:
-            return float("nan"), np.zeros_like(x)
-        return float(x @ x), 2.0 * x
+            values[x[:, 0] > 0.75] = float("nan")  # only the second row goes bad
+        return values, 2.0 * x
 
-    best, best_x, steps_run, trace, failed, note = descend(
-        np.array([1.0, -1.0]), vg, AdamConfig(steps=50)
-    )
+    ok, bad = descend(np.array([[0.5, 0.5], [1.0, -1.0]]), vg, AdamConfig(steps=50))
+    best, best_x, steps_run, trace, failed, note = bad
     assert failed and "non-finite" in note
     assert steps_run == 3 and len(trace) == 3
     assert np.isfinite(best) and best == min(trace)
+    assert not ok[4] and ok[2] == 50 and len(ok[3]) == 50
 
 
 def test_descend_aborts_on_floating_point_error():
     from entgap.optimize import descend
 
     def vg(x):
-        raise FloatingPointError("gradient blew up")
+        if np.any(x[:, 0] > 0.5):  # the second row starts here
+            raise FloatingPointError("gradient blew up")
+        return np.sum(x * x, axis=1), 2.0 * x
 
-    best, _, steps_run, trace, failed, note = descend(
-        np.zeros(2), vg, AdamConfig(steps=10)
-    )
+    ok, bad = descend(np.array([[0.0, 0.3], [1.0, 0.0]]), vg, AdamConfig(steps=10))
+    best, _, steps_run, trace, failed, note = bad
     assert failed and "blew up" in note
-    assert steps_run == 0 and trace == []
+    assert steps_run == 0 and len(trace) == 0
+    assert not ok[4] and ok[2] == 10
+
+
+def _dicts(records):
+    return [shot_to_dict(r) for r in records]
+
+
+@pytest.mark.parametrize(
+    "dims_t,penalty,count",
+    [((3, 3, 2, 2), False, 16), ((3, 3, 2, 2), True, 16), ((4, 4, 2, 2), False, 8)],
+)
+def test_lockstep_batch_equals_each_seed_alone_and_any_split(dims_t, penalty, count):
+    # these stacks pass numpy's 256 KiB threshold for reusing a temporary as an
+    # output (13 states at d = 36, 4 at d = 64), where a swapped complex product
+    # rounds differently
+    dims = Dims(dims_t)
+    cfg = ObjectiveConfig(dims, default_partition(dims), penalty_enabled=penalty)
+    adam = AdamConfig(steps=30)
+    seeds = derive_seeds(7, count)
+    batch = _dicts(run_batch(cfg, adam, seeds))
+    assert batch == _dicts([run_shot(cfg, adam, s) for s in seeds])
+    assert batch == _dicts(run_batch(cfg, adam, seeds, parallelism=2))
+
+
+def test_lockstep_switches_the_hinge_per_row(monkeypatch):
+    import entgap.optimize as opt
+
+    dims = Dims((2, 2, 2, 2))
+    cfg = ObjectiveConfig(dims, default_partition(dims), penalty_enabled=True)
+    adam = AdamConfig(steps=30)
+    seeds = list(range(16))
+    real = opt.stacked_value_and_gradient
+    mixed = []
+
+    def spy(x, c, want_grad=True):
+        values, grads, extras = real(x, c, want_grad)
+        on = extras["max_tmi"] > 0.0
+        mixed.append(bool(on.any() and not on.all()))
+        return values, grads, extras
+
+    monkeypatch.setattr(opt, "stacked_value_and_gradient", spy)
+    batch = _dicts(run_batch(cfg, adam, seeds))
+    monkeypatch.undo()
+    assert any(mixed)  # some steps penalize some rows and not others
+    assert batch == _dicts([run_shot(cfg, adam, s) for s in seeds])
+
+
+def test_seeds_beyond_one_stack_run_in_further_stacks(monkeypatch):
+    import entgap.optimize as opt
+
+    cfg, adam, seeds = small_config(), AdamConfig(steps=20), list(range(5))
+    whole = _dicts(run_batch(cfg, adam, seeds))
+    real = opt.stacked_value_and_gradient
+    sizes = set()
+
+    def spy(x, c, want_grad=True):
+        sizes.add(len(x))
+        return real(x, c, want_grad)
+
+    monkeypatch.setattr(opt, "stacked_value_and_gradient", spy)
+    monkeypatch.setattr(opt, "MAX_STACK", 2)
+    assert _dicts(run_batch(cfg, adam, seeds)) == whole
+    assert sizes == {1, 2}
+
+
+FAULT_STEP = 5
+
+
+def _fail_one_row(monkeypatch, kind, row=1):
+    """From the FAULT_STEP-th stacked call on, the point stack row ``row`` held then fails."""
+    import entgap.optimize as opt
+
+    real = opt.stacked_value_and_gradient
+    seen = {"calls": 0, "bad": None}
+
+    def flaky(x, cfg, want_grad=True):
+        if len(x) > 1:
+            seen["calls"] += 1
+            if seen["calls"] == FAULT_STEP:
+                seen["bad"] = x[row].copy()
+        hit = [j for j in range(len(x)) if seen["bad"] is not None and np.array_equal(x[j], seen["bad"])]
+        if hit and kind == "floating-point":
+            raise FloatingPointError("row blew up")
+        if hit and kind == "other":
+            raise RuntimeError("boom")
+        values, grads, extras = real(x, cfg, want_grad)
+        for j in hit:
+            if kind == "nan-objective":
+                values[j] = np.nan
+            else:
+                grads[j, 0] = np.inf
+        return values, grads, extras
+
+    monkeypatch.setattr(opt, "stacked_value_and_gradient", flaky)
 
 
 def test_run_batch_records_individual_failures(monkeypatch):
+    import dataclasses
+
     import entgap.optimize as opt
 
-    real = opt.run_shot
-
-    def flaky(cfg, adam, seed):
-        if seed == 1:
-            raise RuntimeError("boom")
-        return real(cfg, adam, seed)
-
-    monkeypatch.setattr(opt, "run_shot", flaky)
-    records = opt.run_batch(small_config(), AdamConfig(steps=40), [0, 1, 2])
-    assert [r.seed for r in records] == [0, 1, 2]
-    assert not records[0].failed and not records[2].failed
-    assert records[1].failed and "boom" in records[1].note
+    cfg, adam, seeds = small_config(), AdamConfig(steps=40), [0, 1, 2]
+    clean = _dicts(run_batch(cfg, adam, seeds))
+    until_fault = run_shot(cfg, AdamConfig(steps=FAULT_STEP - 1), 1)
+    ended = {"floating-point": "row blew up", "nan-objective": "non-finite objective nan"}
+    failed = {"other": "RuntimeError: boom",
+              "nan-gradient": "FloatingPointError: non-finite gradient in adam_step"}
+    for kind in [*ended, *failed]:
+        _fail_one_row(monkeypatch, kind)
+        records = opt.run_batch(cfg, adam, seeds)
+        monkeypatch.undo()
+        assert [r.seed for r in records] == seeds
+        assert _dicts([records[0], records[2]]) == [clean[0], clean[2]], kind
+        if kind in ended:  # ended as descend ends a shot: what it found before the faulty step
+            want = dataclasses.replace(until_fault, failed=True, note=ended[kind])
+        else:  # failed outright, as a shot that raised
+            want = dataclasses.replace(
+                until_fault, best_gap=float("inf"), steps_run=0, objective_trace=np.zeros(0),
+                best_params=np.zeros(UTParams.num_entries(16), complex), failed=True, note=failed[kind],
+            )
+        assert shot_to_dict(records[1]) == shot_to_dict(want), kind
 
 
 def test_run_batch_rejects_empty():
