@@ -31,6 +31,10 @@ class StateFileError(ValueError):
     """Raised when a state file fails to parse or validate."""
 
 
+class ShotLogError(ValueError):
+    """Raised when a line of a shot log fails to parse; names the file and line."""
+
+
 def fmt12(x: float) -> str:
     return f"{float(x):.12g}"
 
@@ -44,6 +48,15 @@ def _round12(obj):
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
     return obj
+
+
+def _partition_dict(p: PartitionSpec) -> dict:
+    return {
+        "A": list(p.a_sites),
+        "B": list(p.b_sites),
+        "Ap": list(p.ap_sites),
+        "Bp": list(p.bp_sites),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +80,11 @@ def parse_state_file(path: Union[str, Path]) -> ParsedStateFile:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise StateFileError(f"cannot read state file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise StateFileError(f"state file must hold a JSON object, got {type(data).__name__}")
+    for key, kind in (("parties", dict), ("amplitudes", list), ("expected", dict)):
+        if key in data and not isinstance(data[key], kind):
+            raise StateFileError(f"{key} field must be a JSON {'object' if kind is dict else 'array'}")
     for key in ("dims", "parties", "amplitudes"):
         if key not in data:
             raise StateFileError(f"state file is missing required field {key!r}")
@@ -113,12 +131,7 @@ def write_state_file(
         "description": description,
         "index_convention": "big-endian mixed radix, site 0 most significant",
         "dims": list(state.dims.sites),
-        "parties": {
-            "A": list(partition.a_sites),
-            "B": list(partition.b_sites),
-            "Ap": list(partition.ap_sites),
-            "Bp": list(partition.bp_sites),
-        },
+        "parties": _partition_dict(partition),
         "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
     }
     if expected is not None:
@@ -252,15 +265,6 @@ def verify_state_file(path: Union[str, Path]) -> VerifyReport:
 # shot logs
 
 
-def _partition_dict(p: PartitionSpec) -> dict:
-    return {
-        "A": list(p.a_sites),
-        "B": list(p.b_sites),
-        "Ap": list(p.ap_sites),
-        "Bp": list(p.bp_sites),
-    }
-
-
 def shot_to_dict(rec: ShotRecord) -> dict:
     # failed shots can carry best_gap = inf, which strict JSON cannot express
     best = rec.best_gap if np.isfinite(rec.best_gap) else None
@@ -306,12 +310,17 @@ def write_shots_jsonl(records: Sequence[ShotRecord], path: Union[str, Path]) -> 
 
 
 def read_shots_jsonl(path: Union[str, Path]) -> list[ShotRecord]:
+    """The shot records of a log; raises ShotLogError on a line that does not parse."""
     out = []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 out.append(shot_from_dict(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ShotLogError(f"{path}:{lineno}: bad shot record: {exc!r}") from exc
     return out
 
 
@@ -319,13 +328,17 @@ def read_shots_jsonl(path: Union[str, Path]) -> list[ShotRecord]:
 # CSV reports
 
 
-def write_sweep_csv(records: Sequence[SweepRecord], path: Union[str, Path]) -> None:
-    records = sorted(records, key=lambda r: r.q)
+def _write_csv(path: Union[str, Path], header: Sequence[str], rows) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["q", "min_gap", "state_id"])
-        for r in records:
-            w.writerow([fmt12(r.q), fmt12(r.min_gap), r.argmin_state_id])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_sweep_csv(records: Sequence[SweepRecord], path: Union[str, Path]) -> None:
+    records = sorted(records, key=lambda r: r.q)
+    _write_csv(path, ["q", "min_gap", "state_id"],
+               ([fmt12(r.q), fmt12(r.min_gap), r.argmin_state_id] for r in records))
 
 
 def read_sweep_csv(path: Union[str, Path]) -> list[SweepRecord]:
@@ -344,11 +357,7 @@ def read_sweep_csv(path: Union[str, Path]) -> list[SweepRecord]:
 
 def write_curve_csv(points: Sequence[tuple[float, float]], path: Union[str, Path]) -> None:
     points = sorted(points, key=lambda p: p[0])
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["q", "gap"])
-        for q, g in points:
-            w.writerow([fmt12(q), fmt12(g)])
+    _write_csv(path, ["q", "gap"], ([fmt12(q), fmt12(g)] for q, g in points))
 
 
 def read_curve_csv(path: Union[str, Path]) -> list[tuple[float, float]]:
@@ -359,11 +368,8 @@ def read_curve_csv(path: Union[str, Path]) -> list[tuple[float, float]]:
 def write_tmi_csv(rows: Sequence[tuple[int, float, float]], path: Union[str, Path]) -> None:
     """Rows of (seed, gap, max_i3), seed-ascending."""
     rows = sorted(rows, key=lambda r: r[0])
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["seed", "gap", "max_i3"])
-        for seed, g, mi3 in rows:
-            w.writerow([int(seed), fmt12(g), fmt12(mi3)])
+    _write_csv(path, ["seed", "gap", "max_i3"],
+               ([int(seed), fmt12(g), fmt12(mi3)] for seed, g, mi3 in rows))
 
 
 def read_tmi_csv(path: Union[str, Path]) -> list[tuple[int, float, float]]:

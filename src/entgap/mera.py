@@ -21,16 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .objective import (
-    ObjectiveConfig,
-    _cached_state_objective,
-    _complex_to_real,
-    _exp_adjoint,
-    _exp_antihermitian,
-    _generator,
-    _real_to_complex,
-)
-from .optimize import AdamConfig, ShotRecord, lockstep_shots, map_chunks
+from .objective import ObjectiveConfig, _cached_state_objective, _parameter_gradient, _unitaries
+from .optimize import AdamConfig, ShotRecord, gaussian_entries, lockstep_shots, map_chunks
 from .states import Dims, PartitionSpec, QuditState
 
 GATE_DIM = 4
@@ -104,7 +96,7 @@ def mera_objective_config(num_qubits: int, q: float = 1.0, **kwargs) -> Objectiv
     return ObjectiveConfig(dims, default_mera_partition(num_qubits), q=q, **kwargs)
 
 
-def _apply_gate(amps: np.ndarray, u: np.ndarray, width: int, pos: int) -> np.ndarray:
+def _apply_gate(amps: np.ndarray, u: np.ndarray, pos: int) -> np.ndarray:
     t = amps.reshape(2**pos, GATE_DIM, -1)
     return np.einsum("ab,ibj->iaj", u, t).reshape(-1)
 
@@ -117,20 +109,21 @@ def _embed_fresh(amps: np.ndarray, width: int) -> np.ndarray:
 
 
 def _gate_unitaries(layout: MeraLayout, params: MeraParams):
+    """(U, theta, V) of every gate, stacked along a leading gate axis."""
     if params.num_gates != layout.num_gates:
         raise ValueError(
             f"layout has {layout.num_gates} gates, parameters carry {params.num_gates}"
         )
-    return list(zip(*_exp_antihermitian(_generator(params.entries, GATE_DIM))))
+    return _unitaries(params.entries.view(np.float64), GATE_DIM)
 
 
 def mera_state(layout: MeraLayout, params: MeraParams) -> QuditState:
     """Run the circuit on |0...0>; all-identity gates return |0...0> itself."""
-    amps = _run_circuit(layout, _gate_unitaries(layout, params))
+    amps = _run_circuit(layout, _gate_unitaries(layout, params)[0])
     return QuditState(Dims((2,) * layout.num_qubits), amps)
 
 
-def _run_circuit(layout: MeraLayout, gates, record=None) -> np.ndarray:
+def _run_circuit(layout: MeraLayout, u: np.ndarray, record=None) -> np.ndarray:
     amps = np.zeros(4, dtype=np.complex128)
     amps[0] = 1.0
     g = 0
@@ -140,8 +133,7 @@ def _run_circuit(layout: MeraLayout, gates, record=None) -> np.ndarray:
         if op[0] == "embed":
             amps = _embed_fresh(amps, op[1])
         else:
-            _, width, pos, _ = op
-            amps = _apply_gate(amps, gates[g][0], width, pos)
+            amps = _apply_gate(amps, u[g], op[2])
             g += 1
     return amps
 
@@ -149,41 +141,38 @@ def _run_circuit(layout: MeraLayout, gates, record=None) -> np.ndarray:
 def _circuit_grad(layout: MeraLayout, gates, cotangent: np.ndarray, inputs) -> np.ndarray:
     """Backpropagate a state-space gradient through the circuit.
 
-    ``inputs`` holds the state before each op (as recorded by _run_circuit).
-    Returns the complex gradient array over gate entries, shape
-    (num_gates, 10), in the df = Re(sum conj(G) dz) convention.
+    ``gates`` is the stacked (U, theta, V) of _gate_unitaries and ``inputs``
+    holds the state before each op (as recorded by _run_circuit).  Returns the
+    real gradient over the flattened gate parameters.
     """
-    g_entries = np.zeros((layout.num_gates, ENTRIES_PER_GATE), dtype=np.complex128)
-    rows, cols = np.triu_indices(GATE_DIM)
+    u, theta, v = gates
+    g_u = np.empty_like(u)
     c = cotangent
     g = layout.num_gates - 1
     for k in range(len(layout.ops) - 1, -1, -1):
         op = layout.ops[k]
-        before = inputs[k]
         if op[0] == "embed":
             width = op[1]
             idx = tuple(x for _ in range(width) for x in (slice(None), 0))
             c = c.reshape((2,) * (2 * width))[idx].reshape(-1)
         else:
-            _, width, pos, _ = op
-            u, theta, v = gates[g]
-            tb = before.reshape(2**pos, GATE_DIM, -1)
+            pos = op[2]
+            tb = inputs[k].reshape(2**pos, GATE_DIM, -1)
             tc = c.reshape(2**pos, GATE_DIM, -1)
-            g_u = np.einsum("iaj,ibj->ab", tc, tb.conj())
-            g_h = _exp_adjoint(theta, v, g_u)
-            g_entries[g] = -2j * g_h[rows, cols]
+            g_u[g] = np.einsum("iaj,ibj->ab", tc, tb.conj())
             # cotangent through the gate: c_before = U^dag c_after
-            c = np.einsum("ab,iaj->ibj", u.conj(), tc).reshape(-1)
+            c = np.einsum("ab,iaj->ibj", u[g].conj(), tc).reshape(-1)
             g -= 1
-    return g_entries
+    return _parameter_gradient(theta, v, g_u).reshape(-1)
 
 
 def _flatten(params: MeraParams) -> np.ndarray:
-    return _complex_to_real(params.entries.reshape(-1))
+    return params.entries.view(np.float64).reshape(-1)
 
 
 def _unflatten(vec: np.ndarray, num_gates: int) -> MeraParams:
-    return MeraParams(_real_to_complex(vec).reshape(num_gates, ENTRIES_PER_GATE))
+    entries = np.ascontiguousarray(vec, dtype=np.float64).view(np.complex128)
+    return MeraParams(entries.reshape(num_gates, ENTRIES_PER_GATE))
 
 
 def mera_objective_value(layout: MeraLayout, params: MeraParams, cfg: ObjectiveConfig) -> float:
@@ -209,10 +198,9 @@ def mera_value_and_gradient(
     if gradient == "analytic":
         gates = _gate_unitaries(layout, params)
         inputs: list[np.ndarray] = []
-        amps = _run_circuit(layout, gates, record=inputs)
+        amps = _run_circuit(layout, gates[0], record=inputs)
         value, g_psi, _ = obj(amps)
-        g_entries = _circuit_grad(layout, gates, g_psi, inputs)
-        return value, _complex_to_real(g_entries.reshape(-1))
+        return value, _circuit_grad(layout, gates, g_psi, inputs)
     if gradient != "fd":
         raise ValueError(f"gradient must be 'fd' or 'analytic', got {gradient!r}")
     x = _flatten(params)
@@ -230,9 +218,7 @@ def mera_value_and_gradient(
 
 def initial_mera_params(layout: MeraLayout, rng: np.random.Generator) -> MeraParams:
     """Per-gate i.i.d. complex Gaussian entries of std 1/sqrt(4)."""
-    n = layout.num_entries
-    raw = rng.standard_normal(2 * n)
-    ent = (raw[0::2] + 1j * raw[1::2]) / np.sqrt(2.0 * GATE_DIM)
+    ent = gaussian_entries(layout.num_entries, GATE_DIM, rng)
     return MeraParams(ent.reshape(layout.num_gates, ENTRIES_PER_GATE))
 
 
@@ -249,7 +235,7 @@ def _mera_shots(
     def init(rng: np.random.Generator) -> np.ndarray:
         return _flatten(initial_mera_params(layout, rng))
 
-    return lockstep_shots(cfg, adam, seeds, init, vg, "mera", layout.num_entries)
+    return lockstep_shots(cfg, adam, seeds, init, vg, "mera")
 
 
 def run_mera_shot(

@@ -104,28 +104,25 @@ def _generator(entries: np.ndarray, d: int) -> np.ndarray:
     return m
 
 
-def matrix_from_params(p: UTParams) -> np.ndarray:
-    """Dense upper-triangular M from the packed entry vector."""
-    return _generator(p.entries, p.d)
-
-
 def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _exp_antihermitian(m: np.ndarray):
-    """U = exp(M - M^dag) via eigendecomposition of the Hermitian i(M - M^dag).
+def _unitaries(x: np.ndarray, d: int):
+    """U = exp(M - M^dag) of real parameter rows x (..., d(d+1)), via eigh of H = i(M - M^dag).
 
-    Returns (U, theta, V) with H = i(M - M^dag) = V diag(theta) V^dag and
-    U = V diag(exp(-i theta)) V^dag, for M of shape (..., d, d).
+    A real row is its packed complex entries viewed as float64, i.e.
+    interleaved (re, im) pairs.  Returns (U, theta, V) with
+    H = V diag(theta) V^dag and U = V diag(exp(-i theta)) V^dag.
     """
+    m = _generator(np.ascontiguousarray(x, dtype=np.float64).view(np.complex128), d)
     theta, v = np.linalg.eigh(1j * (m - _dagger(m)))
     u = (v * np.exp(-1j * theta)[..., None, :]) @ _dagger(v)
     return u, theta, v
 
 
-def _exp_adjoint(theta: np.ndarray, v: np.ndarray, g_u: np.ndarray) -> np.ndarray:
-    """Pull a gradient on U back to a Hermitian gradient on H = i(M - M^dag).
+def _parameter_gradient(theta: np.ndarray, v: np.ndarray, g_u: np.ndarray) -> np.ndarray:
+    """Pull a gradient on U = exp(M - M^dag) back to real parameter rows (..., d(d+1)).
 
     The divided difference of exp(-i theta) is written in closed form,
     -i exp(-i mean) sin(diff/2) / (diff/2), so it does not cancel as pairs merge.
@@ -137,25 +134,15 @@ def _exp_adjoint(theta: np.ndarray, v: np.ndarray, g_u: np.ndarray) -> np.ndarra
     # 256 KiB or more as the output, so a temporary right operand would swap the
     # operands of this complex product, which round differently under FMA
     g_h = v @ ((_dagger(v) @ g_u @ v) * phc) @ _dagger(v)
-    return 0.5 * (g_h + _dagger(g_h))
-
-
-def _complex_to_real(entries: np.ndarray) -> np.ndarray:
-    """Interleaved (real, imaginary) pairs of complex vectors along the last axis."""
-    out = np.empty(entries.shape[:-1] + (2 * entries.shape[-1],))
-    out[..., 0::2] = entries.real
-    out[..., 1::2] = entries.imag
-    return out
-
-
-def _real_to_complex(vec: np.ndarray) -> np.ndarray:
-    return vec[..., 0::2] + 1j * vec[..., 1::2]
+    g_h = 0.5 * (g_h + _dagger(g_h))  # the Hermitian gradient on H
+    rows, cols = _ut_indices(theta.shape[-1])
+    # the gather may come out strided, and a view needs a contiguous last axis
+    return np.ascontiguousarray(-2j * g_h[..., rows, cols]).view(np.float64)
 
 
 def unitary_from_params(p: UTParams) -> np.ndarray:
     """The unitary exp(M - M^dag)."""
-    u, _, _ = _exp_antihermitian(matrix_from_params(p))
-    return u
+    return _unitaries(p.entries.view(np.float64), p.d)[0]
 
 
 def state_from_params(p: UTParams, config: ObjectiveConfig) -> QuditState:
@@ -446,8 +433,8 @@ def objective_value_and_gradient(
     """
     if p.d != config.dims.total:
         raise ValueError(f"parameter dimension {p.d} does not match dims {config.dims.sites}")
-    values, g_entries, extras = _unitary_objective(p.entries[None], config, want_grad)
-    grad = None if g_entries is None else _complex_to_real(g_entries[0])
+    values, grads, extras = stacked_value_and_gradient(p.entries.view(np.float64)[None], config, want_grad)
+    grad = None if grads is None else grads[0]
     return float(values[0]), grad, {k: float(v[0]) for k, v in extras.items()}
 
 
@@ -462,28 +449,17 @@ def stacked_value_and_gradient(x: np.ndarray, config: ObjectiveConfig, want_grad
     """
     if not np.all(np.isfinite(x)):
         raise ValueError("parameter entries must be finite")
-    values, g_entries, extras = _unitary_objective(_real_to_complex(x), config, want_grad)
-    grads = None if g_entries is None else _complex_to_real(g_entries)
-    return values, grads, extras
-
-
-def _unitary_objective(entries: np.ndarray, config: ObjectiveConfig, want_grad: bool):
-    """Values, complex gradients over the entries, and extras of generator entry rows (S, n)."""
-    d = config.dims.total
-    u, theta, v = _exp_antihermitian(_generator(entries, d))
+    u, theta, v = _unitaries(x, config.dims.total)
     chi = _chi(config.dims)
     psi = u @ chi
     del u  # the adjoint needs theta and V only; a stack of U is S d^2 complex numbers
     values, g_psi, extras = _cached_state_objective(config)(psi, want_grad=want_grad)
     if not want_grad:
         return values, None, extras
-    g_u = g_psi[:, :, None] * chi.conj()
-    g_h = _exp_adjoint(theta, v, g_u)
-    rows, cols = _ut_indices(d)
-    g_entries = -2j * g_h[:, rows, cols]
-    if not np.all(np.isfinite(g_entries)):
+    grads = _parameter_gradient(theta, v, g_psi[:, :, None] * chi.conj())
+    if not np.all(np.isfinite(grads)):
         raise FloatingPointError("parameter gradient is not finite")
-    return values, g_entries, extras
+    return values, grads, extras
 
 
 def objective_gradient(p: UTParams, config: ObjectiveConfig) -> np.ndarray:

@@ -31,8 +31,6 @@ from .objective import (
     GapProfile,
     ObjectiveConfig,
     UTParams,
-    _complex_to_real,
-    _real_to_complex,
     stacked_value_and_gradient,
     state_from_params,
 )
@@ -126,11 +124,16 @@ def derive_seeds(master_seed: int, count: int) -> list[int]:
     return [derive_seed(master_seed, i) for i in range(count)]
 
 
+def gaussian_entries(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """n i.i.d. complex Gaussian entries of std 1/sqrt(d): the start of both search families."""
+    raw = rng.standard_normal(2 * n)
+    # divided as complex numbers, which rounds differently from dividing raw
+    return (raw[0::2] + 1j * raw[1::2]) / np.sqrt(2.0 * d)
+
+
 def initial_params(d: int, rng: np.random.Generator) -> UTParams:
     """I.i.d. complex Gaussian entries of std 1/sqrt(d) (per complex entry)."""
-    n = UTParams.num_entries(d)
-    raw = rng.standard_normal(2 * n)
-    return UTParams(d, (raw[0::2] + 1j * raw[1::2]) / np.sqrt(2.0 * d))
+    return UTParams(d, gaussian_entries(UTParams.num_entries(d), d, rng))
 
 
 StackValueGrad = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -222,14 +225,14 @@ MAX_STACK = 64
 def lockstep_shots(
     cfg: ObjectiveConfig, adam: AdamConfig, seeds: Sequence[int],
     init: Callable[[np.random.Generator], np.ndarray], value_and_grad: StackValueGrad,
-    family: str, num_entries: int,
+    family: str,
 ) -> list[ShotRecord]:
     """Seeded shots of either search family, stepped together by :func:`descend`.
 
     Shot ``seed`` starts at ``init(rng)``, where ``rng`` is its own PCG64
     generator seeded with ``seed``, so each record depends on its seed alone.
     Seeds are stepped in stacks of at most MAX_STACK.  The best real point is
-    recorded as complex entries (interleaved real/imaginary pairs).  Records
+    recorded as complex entries, the real row viewed as complex128.  Records
     come in seed order.
     """
     outcomes = []
@@ -239,7 +242,7 @@ def lockstep_shots(
     records = []
     for seed, res in zip(seeds, outcomes):
         if isinstance(res, Exception):  # failed outright: no steps, objective inf
-            res = (np.inf, np.zeros(2 * num_entries), 0, np.zeros(0), True,
+            res = (np.inf, np.zeros(x0.shape[1]), 0, np.zeros(0), True,
                    f"{type(res).__name__}: {res}")
         best, best_x, steps_run, trace, failed, note = res
         records.append(ShotRecord(
@@ -248,7 +251,7 @@ def lockstep_shots(
             partition=cfg.partition,
             q_trained=cfg.q,
             best_gap=float(best),
-            best_params=_real_to_complex(best_x),
+            best_params=best_x.view(np.complex128),
             steps_run=steps_run,
             objective_trace=trace,
             failed=failed,
@@ -267,9 +270,9 @@ def run_shots(cfg: ObjectiveConfig, adam: AdamConfig, seeds: Sequence[int]) -> l
         return values, grads
 
     def init(rng: np.random.Generator) -> np.ndarray:
-        return _complex_to_real(initial_params(d, rng).entries)
+        return initial_params(d, rng).entries.view(np.float64)
 
-    return lockstep_shots(cfg, adam, seeds, init, vg, "unitary", UTParams.num_entries(d))
+    return lockstep_shots(cfg, adam, seeds, init, vg, "unitary")
 
 
 def run_shot(cfg: ObjectiveConfig, adam: AdamConfig, seed: int) -> ShotRecord:

@@ -7,6 +7,7 @@ import pytest
 
 from entgap.cli import main
 from entgap.io import (
+    ShotLogError,
     StateFileError,
     emit_reports,
     fmt12,
@@ -75,6 +76,30 @@ def test_state_file_rejects_missing_fields(tmp_path):
     path.write_text("not json at all {")
     with pytest.raises(StateFileError):
         parse_state_file(path)
+
+
+VALID_STATE = {
+    "dims": [2, 2, 2, 2],
+    "parties": {"A": [0], "B": [1], "Ap": [2], "Bp": [3]},
+    "amplitudes": [[0.25, 0.0]] * 16,
+}
+
+
+@pytest.mark.parametrize("argv", [["verify", "{path}"], ["curve", "--state", "{path}", "--out", "{out}"]])
+@pytest.mark.parametrize("doc", [
+    5,
+    [],
+    {**VALID_STATE, "expected": [1]},
+    {**VALID_STATE, "parties": 5},
+    {**VALID_STATE, "amplitudes": 5},
+], ids=["int", "list", "expected-list", "parties-int", "amplitudes-int"])
+def test_state_file_of_wrong_json_types_is_an_input_error(tmp_path, capsys, argv, doc):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StateFileError):
+        parse_state_file(path)
+    assert main([a.format(path=path, out=tmp_path / "out") for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_rejects_large_norm_deviation(tmp_path):
@@ -152,6 +177,21 @@ def test_shots_jsonl_seed_ascending(tmp_path):
     write_shots_jsonl(records, path)
     seeds = [json.loads(line)["seed"] for line in path.read_text().splitlines()]
     assert seeds == sorted(seeds)
+
+
+@pytest.mark.parametrize("command", ["tmi", "curve"])
+@pytest.mark.parametrize("bad", ["{}", "[1,2]", '{"seed": 1', "null"])
+def test_malformed_shot_log_is_an_input_error(tmp_path, capsys, command, bad):
+    shots = tmp_path / "shots.jsonl"
+    write_shots_jsonl(small_records(steps=5, seeds=(0,)), shots)
+    with open(shots, "a") as f:
+        f.write(bad + "\n")
+    with pytest.raises(ShotLogError, match="shots.jsonl:2: "):
+        read_shots_jsonl(shots)
+    assert main([command, "--shots", str(shots), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "shots.jsonl:2: " in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_shot_dict_round_trip():

@@ -9,12 +9,13 @@ from entgap.objective import (
     UTParams,
     _entropy_grad_diag,
     _StateObjective,
+    _generator,
     gap,
-    matrix_from_params,
     objective_gradient,
     objective_value,
     objective_value_and_gradient,
     penalized_gap,
+    stacked_value_and_gradient,
     state_from_params,
     two_party_density,
     unitary_from_params,
@@ -276,7 +277,7 @@ def test_gradient_at_near_degenerate_generator(split):
     g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     v, _ = np.linalg.qr(g)
     p = antihermitian_to_params(-1j * (v * theta) @ v.conj().T)  # M - M^dag = -iH
-    m = matrix_from_params(p)
+    m = _generator(p.entries, p.d)
     assert np.min(np.diff(np.linalg.eigvalsh(1j * (m - m.conj().T)))) < 2.0 * split
     _, grad, _ = objective_value_and_gradient(p, cfg)
     for _ in range(3):
@@ -378,6 +379,23 @@ def test_state_objective_stack_rows_equal_single_states(rng):
         value, g, ext = obj(amps)
         assert value == values[j] and np.array_equal(g, g_psi[j])
         assert ext == {k: v[j] for k, v in extras.items()}
+
+
+def test_stacked_kernel_reads_any_row_layout(rng):
+    # a real row is its complex entries viewed as float64, so a Fortran-ordered
+    # stack or a strided row slice must be made C-contiguous before the view
+    dims = Dims((3, 3, 2, 2))
+    cfg = ObjectiveConfig(dims, default_partition(dims), penalty_enabled=True)
+    points = [random_params(dims.total, rng) for _ in range(4)]
+    x = np.stack([p.entries.view(np.float64) for p in points])
+    values, grads, extras = stacked_value_and_gradient(x, cfg)
+    for layout, rows in ((np.asfortranarray(x), slice(None)), (x[::2], slice(None, None, 2))):
+        v, g, e = stacked_value_and_gradient(layout, cfg)
+        assert np.array_equal(v, values[rows]) and np.array_equal(g, grads[rows])
+        assert all(np.array_equal(e[k], extras[k][rows]) for k in extras)
+    value, grad, ext = objective_value_and_gradient(points[0], cfg)
+    assert value == values[0] and np.array_equal(grad, grads[0])
+    assert ext == {k: v[0] for k, v in extras.items()}
 
 
 def test_params_validation():
