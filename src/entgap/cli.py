@@ -4,7 +4,8 @@ Subcommands: verify, optimize, sweep, curve, tmi, mera, bound-check.
 Exit codes: 0 pass, 1 numeric-criterion failure, 2 input/parse error.
 Runs are reproducible from the emitted manifest: shot seeds derive from
 --master-seed as ``master ^ index`` and outputs are byte-deterministic at
-any --parallelism.
+any --parallelism, except 16-qubit MERA logs: pool workers run OpenBLAS on
+one thread, and its 256x256 eigh rounds differently there.
 """
 
 from __future__ import annotations
@@ -226,8 +227,7 @@ def _cmd_curve(args) -> int:
         return 2
     if args.state is not None:
         parsed = parse_state_file(args.state)
-        amps = parsed.amplitudes / np.linalg.norm(parsed.amplitudes)
-        psi = QuditState(parsed.dims, amps)
+        psi = parsed.state()
         part = parsed.partition
         label = str(args.state)
     else:

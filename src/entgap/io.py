@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .entropy import EntropyConfig, entropy_from_spectrum, max_tmi
 from .objective import GapProfile, ObjectiveConfig, _cached_state_objective
-from .optimize import ShotRecord, SweepRecord
+from .optimize import ShotRecord, SweepRecord, blas_threads
 from .states import Dims, PartitionSpec, QuditState
 
 PARTY_KEYS = ("A", "B", "Ap", "Bp")
@@ -63,6 +63,9 @@ def _partition_dict(p: PartitionSpec) -> dict:
 # state files
 
 
+NORM_GUARD = 0.05
+
+
 @dataclass(frozen=True)
 class ParsedStateFile:
     """Raw (not yet renormalized) contents of a state file."""
@@ -72,6 +75,17 @@ class ParsedStateFile:
     amplitudes: np.ndarray
     expected: Optional[dict]
     description: str = ""
+
+    @property
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amplitudes))
+
+    def state(self) -> QuditState:
+        """The renormalized state; raises StateFileError if the norm is off 1 by more than NORM_GUARD."""
+        norm = self.norm
+        if abs(norm - 1.0) > NORM_GUARD:
+            raise StateFileError(f"state norm {norm:.6f} deviates from 1 by more than {NORM_GUARD}")
+        return QuditState(self.dims, self.amplitudes / norm)
 
 
 def parse_state_file(path: Union[str, Path]) -> ParsedStateFile:
@@ -110,6 +124,9 @@ def parse_state_file(path: Union[str, Path]) -> ParsedStateFile:
         amps = np.array([complex(float(re), float(im)) for re, im in raw], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise StateFileError(f"bad amplitude entry: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(amps))
+    if bad.size:
+        raise StateFileError(f"amplitude {bad[0]} is not finite: {raw[bad[0]]}")
     return ParsedStateFile(
         dims=dims,
         partition=partition,
@@ -188,9 +205,6 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-NORM_GUARD = 0.05
-
-
 def _state_values(psi: QuditState, partition: PartitionSpec, config: EntropyConfig) -> dict:
     """Reference-path values at q = 1, and how far the search kernel's gap lies from them."""
     profile = GapProfile(psi, partition, config)
@@ -215,10 +229,7 @@ def verify_state_file(path: Union[str, Path]) -> VerifyReport:
     carried in the file).
     """
     parsed = parse_state_file(path)
-    norm = float(np.linalg.norm(parsed.amplitudes))
-    if abs(norm - 1.0) > NORM_GUARD:
-        raise StateFileError(f"state norm {norm:.6f} deviates from 1 by more than {NORM_GUARD}")
-    psi = QuditState(parsed.dims, parsed.amplitudes / norm)
+    psi = parsed.state()
 
     nats = _state_values(psi, parsed.partition, EntropyConfig(log_base="e"))
     bits = _state_values(psi, parsed.partition, EntropyConfig(log_base="2"))
@@ -250,7 +261,7 @@ def verify_state_file(path: Union[str, Path]) -> VerifyReport:
         passed = passed and matched_base is not None
     return VerifyReport(
         path=str(path),
-        norm_before=norm,
+        norm_before=parsed.norm,
         values_nats={k: nats[k] for k in ("s_aap", "s_r", "gap", "max_i3")},
         values_bits={k: bits[k] for k in ("s_aap", "s_r", "gap", "max_i3")},
         identity_error=identity_error,
@@ -385,12 +396,17 @@ def read_tmi_csv(path: Union[str, Path]) -> list[tuple[int, float, float]]:
 
 
 def write_manifest(out_path: Union[str, Path], command: str, config: dict) -> Path:
-    """Drop a replay manifest next to an emitted artifact."""
+    """Drop a replay manifest next to an emitted artifact.
+
+    ``blas_threads`` is the OpenBLAS thread count of the writing process, the
+    one a ``--parallelism 1`` run computes at; pool workers always run at one.
+    """
     out_path = Path(out_path)
     manifest = {
         "command": command,
         "config": _round12(config),
         "version": __version__,
+        "blas_threads": blas_threads(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     mpath = out_path.with_name(out_path.name + ".manifest.json")

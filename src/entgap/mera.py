@@ -2,11 +2,16 @@
 
 Circuit family (open boundary, top-down): the register starts as |00> and
 one top unitary acts on it; each subsequent layer doubles the register by
-inserting a fresh |0> to the right of every qubit, applies an
-isometry-generating two-qubit unitary to each (old, fresh) pair, then
-disentanglers across every adjacent pair straddling sibling branches.
-Every gate is exp(M - M^dag) of an upper-triangular 4x4 generator (10
-complex entries), so an all-zero parameter vector gives |0...0>.
+pairing every qubit with a fresh |0> on its right through an
+isometry-generating two-qubit unitary, then applies disentanglers across
+every adjacent pair straddling sibling branches. Every gate is exp(M - M^dag)
+of an upper-triangular 4x4 generator (10 complex entries), so an all-zero
+parameter vector gives |0...0>.
+
+The fresh |0> is never stored: an isometry acts on its one un-embedded
+qubit as the 4x2 map U[:, [0, 2]], the columns where the fresh qubit is |0>.
+Every gate is one matrix product on a gate-first copy of the state, the
+gate's qubits leading and every other qubit flattened behind them.
 
 Reduced density matrices are always contracted straight from the state
 vector (see ``states.reduced_density_vector``); a 2^16 x 2^16 operator is
@@ -35,11 +40,11 @@ class MeraLayout:
 
     num_qubits: int
     layers: int
-    ops: tuple[tuple, ...]  # ("embed", width) | ("gate", width, pos, kind)
+    ops: tuple[tuple[int, str], ...]  # (pos, kind) per gate; kind: top/isometry/disentangler
 
     @property
     def num_gates(self) -> int:
-        return sum(1 for op in self.ops if op[0] == "gate")
+        return len(self.ops)
 
     @property
     def num_entries(self) -> int:
@@ -50,17 +55,16 @@ def mera_layout(num_qubits: int) -> MeraLayout:
     """Build the op schedule; 8 qubits -> 3 layers / 11 gates, 16 -> 4 / 26."""
     if num_qubits not in (8, 16):
         raise ValueError(f"supported qubit counts are 8 and 16, got {num_qubits}")
-    ops: list[tuple] = [("gate", 2, 0, "top")]
+    ops: list[tuple[int, str]] = [(0, "top")]
     width = 2
     layers = 1
     while width < num_qubits:
-        ops.append(("embed", width))
         width *= 2
         layers += 1
-        for i in range(width // 2):
-            ops.append(("gate", width, 2 * i, "isometry"))
-        for i in range(width // 2 - 1):
-            ops.append(("gate", width, 2 * i + 1, "disentangler"))
+        # isometry i sees 2i qubits already paired, its own qubit, then the
+        # not yet paired rest: it sits at position 2i either way
+        ops.extend((2 * i, "isometry") for i in range(width // 2))
+        ops.extend((2 * i + 1, "disentangler") for i in range(width // 2 - 1))
     return MeraLayout(num_qubits=num_qubits, layers=layers, ops=tuple(ops))
 
 
@@ -96,18 +100,6 @@ def mera_objective_config(num_qubits: int, q: float = 1.0, **kwargs) -> Objectiv
     return ObjectiveConfig(dims, default_mera_partition(num_qubits), q=q, **kwargs)
 
 
-def _apply_gate(amps: np.ndarray, u: np.ndarray, pos: int) -> np.ndarray:
-    t = amps.reshape(2**pos, GATE_DIM, -1)
-    return np.einsum("ab,ibj->iaj", u, t).reshape(-1)
-
-
-def _embed_fresh(amps: np.ndarray, width: int) -> np.ndarray:
-    out = np.zeros((2,) * (2 * width), dtype=np.complex128)
-    idx = tuple(x for _ in range(width) for x in (slice(None), 0))
-    out[idx] = amps.reshape((2,) * width)
-    return out.reshape(-1)
-
-
 def _gate_unitaries(layout: MeraLayout, params: MeraParams):
     """(U, theta, V) of every gate, stacked along a leading gate axis."""
     if params.num_gates != layout.num_gates:
@@ -123,18 +115,31 @@ def mera_state(layout: MeraLayout, params: MeraParams) -> QuditState:
     return QuditState(Dims((2,) * layout.num_qubits), amps)
 
 
+def _columns(kind: str) -> slice:
+    """The columns of U a gate applies: all, or an isometry's 0 and 2, where its fresh (second) qubit is |0>."""
+    return slice(None, None, 2) if kind == "isometry" else slice(None)
+
+
+def _gate_first(amps: np.ndarray, pos: int, k: int) -> np.ndarray:
+    """Copy of ``amps`` as (k, rest): the k-dim factor at qubit ``pos`` leads."""
+    t = amps.reshape(2**pos, k, -1)
+    return np.ascontiguousarray(t.transpose(1, 0, 2)).reshape(k, -1)
+
+
+def _natural(y: np.ndarray, pos: int) -> np.ndarray:
+    """Inverse of _gate_first: a (k, rest) array back in the natural qubit order."""
+    return y.reshape(y.shape[0], 2**pos, -1).transpose(1, 0, 2).reshape(-1)
+
+
 def _run_circuit(layout: MeraLayout, u: np.ndarray, record=None) -> np.ndarray:
     amps = np.zeros(4, dtype=np.complex128)
     amps[0] = 1.0
-    g = 0
-    for op in layout.ops:
+    for (pos, kind), ug in zip(layout.ops, u):
+        w = ug[:, _columns(kind)]
+        x = _gate_first(amps, pos, w.shape[1])
         if record is not None:
-            record.append(amps)
-        if op[0] == "embed":
-            amps = _embed_fresh(amps, op[1])
-        else:
-            amps = _apply_gate(amps, u[g], op[2])
-            g += 1
+            record.append(x)
+        amps = _natural(w @ x, pos)
     return amps
 
 
@@ -142,27 +147,21 @@ def _circuit_grad(layout: MeraLayout, gates, cotangent: np.ndarray, inputs) -> n
     """Backpropagate a state-space gradient through the circuit.
 
     ``gates`` is the stacked (U, theta, V) of _gate_unitaries and ``inputs``
-    holds the state before each op (as recorded by _run_circuit).  Returns the
-    real gradient over the flattened gate parameters.
+    holds each gate's gate-first input (as recorded by _run_circuit).  An
+    isometry's gradient fills only the columns its map reads; the others are
+    exact zeros, as the state does not depend on them.  Returns the real
+    gradient over the flattened gate parameters.
     """
     u, theta, v = gates
-    g_u = np.empty_like(u)
+    g_u = np.zeros_like(u)
     c = cotangent
-    g = layout.num_gates - 1
-    for k in range(len(layout.ops) - 1, -1, -1):
-        op = layout.ops[k]
-        if op[0] == "embed":
-            width = op[1]
-            idx = tuple(x for _ in range(width) for x in (slice(None), 0))
-            c = c.reshape((2,) * (2 * width))[idx].reshape(-1)
-        else:
-            pos = op[2]
-            tb = inputs[k].reshape(2**pos, GATE_DIM, -1)
-            tc = c.reshape(2**pos, GATE_DIM, -1)
-            g_u[g] = np.einsum("iaj,ibj->ab", tc, tb.conj())
-            # cotangent through the gate: c_before = U^dag c_after
-            c = np.einsum("ab,iaj->ibj", u[g].conj(), tc).reshape(-1)
-            g -= 1
+    for g in range(layout.num_gates - 1, -1, -1):
+        pos, kind = layout.ops[g]
+        cols = _columns(kind)
+        c_front = _gate_first(c, pos, GATE_DIM)
+        g_u[g][:, cols] = c_front @ inputs[g].conj().T
+        # cotangent through the gate: c_before = W^dag c_after
+        c = _natural(u[g][:, cols].conj().T @ c_front, pos)
     return _parameter_gradient(theta, v, g_u).reshape(-1)
 
 

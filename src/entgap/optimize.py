@@ -280,11 +280,23 @@ def run_shot(cfg: ObjectiveConfig, adam: AdamConfig, seed: int) -> ShotRecord:
     return run_shots(cfg, adam, [seed])[0]
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: one thread for numpy's bundled OpenBLAS, a no-op without it."""
+def _openblas_call(name: str, *args):
+    """Call ``name`` in numpy's bundled OpenBLAS; its result, or None without that library."""
+    out = None
     for lib in Path(np.__file__).parent.with_name("numpy.libs").glob("libscipy_openblas64_*.so"):
         with contextlib.suppress(OSError, AttributeError):
-            ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_(ctypes.c_int(1))
+            out = getattr(ctypes.CDLL(str(lib)), name)(*args)
+    return out
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one thread for numpy's bundled OpenBLAS, a no-op without it."""
+    _openblas_call("scipy_openblas_set_num_threads64_", ctypes.c_int(1))
+
+
+def blas_threads() -> Optional[int]:
+    """The thread count numpy's bundled OpenBLAS runs at in this process; None without it."""
+    return _openblas_call("scipy_openblas_get_num_threads64_")
 
 
 def run_batch(

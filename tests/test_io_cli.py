@@ -23,7 +23,14 @@ from entgap.io import (
     write_state_file,
 )
 from entgap.objective import ObjectiveConfig, UTParams, gap
-from entgap.optimize import AdamConfig, ShotRecord, SweepRecord, run_batch, state_from_record
+from entgap.optimize import (
+    AdamConfig,
+    ShotRecord,
+    SweepRecord,
+    blas_threads,
+    run_batch,
+    state_from_record,
+)
 from entgap.states import Dims, QuditState, default_partition
 
 from conftest import antihermitian_to_params, fixture_path, load_fixture_state, random_state
@@ -100,6 +107,20 @@ def test_state_file_of_wrong_json_types_is_an_input_error(tmp_path, capsys, argv
         parse_state_file(path)
     assert main([a.format(path=path, out=tmp_path / "out") for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["verify", "{path}"], ["curve", "--state", "{path}", "--out", "{out}"]])
+@pytest.mark.parametrize("amplitudes, message", [
+    ([[0.25, 0.0]] * 5 + [["NaN", 0.0]] + [[0.25, 0.0]] * 10, "amplitude 5 is not finite"),
+    ([[0.0, 0.0]] * 16, "state norm 0.000000 deviates"),
+    ([[3.15 / 4, 0.0]] * 16, "state norm 3.150000 deviates"),
+], ids=["nan", "zero", "norm-3.15"])
+def test_state_file_with_bad_amplitudes_is_an_input_error(tmp_path, capsys, argv, amplitudes, message):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({**VALID_STATE, "amplitudes": amplitudes}))
+    assert main([a.format(path=path, out=tmp_path / "out") for a in argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_rejects_large_norm_deviation(tmp_path):
@@ -243,6 +264,7 @@ def test_emit_reports_writes_manifest(tmp_path):
     assert manifest["command"] == "sweep"
     assert manifest["config"] == {"alpha": 0.1}
     assert "version" in manifest and "timestamp" in manifest
+    assert manifest["blas_threads"] == blas_threads()
     assert out.exists()
 
 

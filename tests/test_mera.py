@@ -1,4 +1,5 @@
 import inspect
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from entgap.mera import (
 )
 from entgap.objective import gap
 from entgap.optimize import AdamConfig, state_from_record
-from entgap.states import density_from_state, partial_trace, reduced_density_vector
+from entgap.states import Dims, QuditState, density_from_state, partial_trace, reduced_density_vector
 
 
 def test_layout_gate_counts():
@@ -158,3 +159,106 @@ def test_sixteen_qubit_shot_protocol_smoke():
     assert rec.best_params.shape == (lay.num_entries,)
     psi = mera_state_from_record(rec)
     assert abs(gap(psi, rec.partition, 1.0) - rec.best_gap) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# an independent oracle of the circuit: its own gate unitaries (a Taylor
+# series), its own schedule and its own contractions (dense kron operators
+# at 8 qubits, tensordot on a (2,)*n tensor at 16)
+
+# |b> -> |b, 0>: a qubit paired with a fresh |0> on its right
+FRESH_ZERO = np.array([[1, 0], [0, 0], [0, 1], [0, 0]], dtype=complex)
+
+
+def _taylor_expm(a: np.ndarray, squarings: int = 4, terms: int = 18) -> np.ndarray:
+    """exp(a) as (sum_k (a/2^s)^k / k!)^(2^s); within 4e-15 of scipy's expm on these gates."""
+    b = a / 2.0**squarings
+    out = term = np.eye(len(a), dtype=complex)
+    for k in range(1, terms):
+        term = term @ b / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _oracle_unitaries(entries: np.ndarray) -> list[np.ndarray]:
+    out = []
+    for row in entries:
+        m = np.zeros((4, 4), dtype=complex)
+        m[np.triu_indices(4)] = row
+        out.append(_taylor_expm(m - m.conj().T))
+    return out
+
+
+def _oracle_schedule(num_qubits: int):
+    """Per layer: the new width and its gate positions, isometries before disentanglers."""
+    width = 2
+    while width < num_qubits:
+        width *= 2
+        yield width, [*range(0, width - 1, 2), *range(1, width - 2, 2)]
+
+
+def _dense_oracle_state(num_qubits: int, entries: np.ndarray) -> np.ndarray:
+    gates = iter(_oracle_unitaries(entries))
+    psi = next(gates) @ np.array([1, 0, 0, 0], dtype=complex)
+    for width, positions in _oracle_schedule(num_qubits):
+        psi = reduce(np.kron, [FRESH_ZERO] * (width // 2)) @ psi
+        for pos in positions:
+            op = reduce(np.kron, [np.eye(2**pos), next(gates), np.eye(2 ** (width - pos - 2))])
+            psi = op @ psi
+    return psi
+
+
+def _tensordot_apply(psi: np.ndarray, op: np.ndarray, pos: int, k: int) -> np.ndarray:
+    """A (4, 2^k) map from the k qubits at ``pos`` onto two qubits there."""
+    t = op.reshape((2, 2) + (2,) * k)
+    out = np.tensordot(t, psi, axes=(list(range(2, 2 + k)), list(range(pos, pos + k))))
+    return np.moveaxis(out, [0, 1], [pos, pos + 1])
+
+
+def _tensordot_oracle_state(num_qubits: int, entries: np.ndarray) -> np.ndarray:
+    gates = iter(_oracle_unitaries(entries))
+    psi = _tensordot_apply(np.array([[1, 0], [0, 0]], dtype=complex), next(gates), 0, 2)
+    for width, positions in _oracle_schedule(num_qubits):
+        for j in range(width // 2):  # qubit j sits at 2j once the j before it are paired
+            psi = _tensordot_apply(psi, FRESH_ZERO, 2 * j, 1)
+        for pos in positions:
+            psi = _tensordot_apply(psi, next(gates), pos, 2)
+    return psi.reshape(-1)
+
+
+def test_mera_state_matches_dense_kron_oracle(rng):
+    lay = mera_layout(8)
+    params = initial_mera_params(lay, rng)
+    oracle = _dense_oracle_state(8, params.entries)
+    assert np.max(np.abs(mera_state(lay, params).amplitudes - oracle)) < 1e-13
+
+
+def test_mera_state_matches_tensordot_oracle_at_sixteen_qubits(rng):
+    lay = mera_layout(16)
+    params = initial_mera_params(lay, rng)
+    oracle = _tensordot_oracle_state(16, params.entries)
+    assert np.max(np.abs(mera_state(lay, params).amplitudes - oracle)) < 1e-13
+
+
+def test_mera_gradient_matches_oracle_differences(rng):
+    # real coordinates 20 g + j of gate g: the top gate, isometries (gates 1,
+    # 2, 4-7) and disentanglers (gates 3, 8-10), in real and imaginary parts
+    lay = mera_layout(8)
+    cfg = mera_objective_config(8, q=1.0)
+    params = initial_mera_params(lay, rng)
+    value, grad = mera_value_and_gradient(lay, params, cfg)
+    x = params.entries.view(np.float64).reshape(-1)
+
+    def oracle_gap(xv: np.ndarray) -> float:
+        amps = _dense_oracle_state(8, xv.view(complex).reshape(lay.num_gates, ENTRIES_PER_GATE))
+        return gap(QuditState(Dims((2,) * 8), amps), default_mera_partition(8), 1.0)
+
+    assert oracle_gap(x) == pytest.approx(value, abs=1e-12)
+    h = 1e-5
+    for idx in (3, 20, 27, 53, 65, 101, 138, 191):
+        step = np.zeros_like(x)
+        step[idx] = h
+        fd = (oracle_gap(x + step) - oracle_gap(x - step)) / (2 * h)
+        assert abs(fd - grad[idx]) <= max(1e-6 * abs(fd), 1e-8), idx

@@ -13,6 +13,7 @@ from entgap.optimize import (
     AdamState,
     GapProfile,
     adam_step,
+    blas_threads,
     derive_seeds,
     map_shots,
     run_batch,
@@ -142,6 +143,7 @@ def _openblas_threads(_job=None) -> int:
 @pytest.mark.skipif(not OPENBLAS, reason="numpy does not bundle scipy-openblas")
 def test_shot_workers_run_one_blas_thread():
     before = _openblas_threads()
+    assert blas_threads() == before  # what every manifest records
     assert map_shots(_openblas_threads, [0, 1], parallelism=2) == [1, 1]
     assert _openblas_threads() == before  # the calling process keeps its threads
 
