@@ -395,11 +395,16 @@ def read_tmi_csv(path: Union[str, Path]) -> list[tuple[int, float, float]]:
 # manifests and the report dispatcher
 
 
-def write_manifest(out_path: Union[str, Path], command: str, config: dict) -> Path:
+def write_manifest(out_path: Union[str, Path], command: str, config: dict,
+                   shot_threads: Optional[int] = None) -> Path:
     """Drop a replay manifest next to an emitted artifact.
 
-    ``blas_threads`` is the OpenBLAS thread count of the writing process, the
-    one a ``--parallelism 1`` run computes at; pool workers always run at one.
+    ``blas_threads`` is the OpenBLAS thread budget of the writing process.  A
+    search spends it on shots, running every BLAS call on one thread, so its
+    results do not depend on it.  ``shot_threads``, recorded for searches, is
+    how many threads each process stepped its shots on: the budget, at most
+    one per seed, and 1 in pool workers and for small matrices
+    (``optimize.shot_threads``).
     """
     out_path = Path(out_path)
     manifest = {
@@ -409,12 +414,15 @@ def write_manifest(out_path: Union[str, Path], command: str, config: dict) -> Pa
         "blas_threads": blas_threads(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
+    if shot_threads is not None:
+        manifest["shot_threads"] = shot_threads
     mpath = out_path.with_name(out_path.name + ".manifest.json")
     mpath.write_text(json.dumps(manifest, indent=1) + "\n")
     return mpath
 
 
-def emit_reports(records, kind: str, out_path: Union[str, Path], command: str = "", config: Optional[dict] = None) -> Path:
+def emit_reports(records, kind: str, out_path: Union[str, Path], command: str = "",
+                 config: Optional[dict] = None, shot_threads: Optional[int] = None) -> Path:
     """Write one report artifact plus its manifest; returns the artifact path.
 
     Kinds: ``sweep_csv``, ``curve_csv``, ``tmi_csv``, ``shots_jsonl``.
@@ -432,5 +440,5 @@ def emit_reports(records, kind: str, out_path: Union[str, Path], command: str = 
     if kind not in writers:
         raise ValueError(f"unknown report kind {kind!r}")
     writers[kind](records, out_path)
-    write_manifest(out_path, command, config or {})
+    write_manifest(out_path, command, config or {}, shot_threads)
     return out_path

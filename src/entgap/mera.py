@@ -13,6 +13,14 @@ qubit as the 4x2 map U[:, [0, 2]], the columns where the fresh qubit is |0>.
 Every gate is one matrix product on a gate-first copy of the state, the
 gate's qubits leading and every other qubit flattened behind them.
 
+The analytic gradient backpropagates through the circuit without recording
+it: the forward pass keeps only the output state, and the backward pass
+walks the gates in reverse, uncomputing each gate's input from its output
+as W^dag y (W^dag W = 1 holds for the unitaries and the 4x2 isometries
+alike) next to the cotangent W^dag c.  A value-and-gradient call so holds a
+few state-sized arrays at a time, whatever the depth; the uncomputed inputs
+differ from the forward ones by rounding only.
+
 Reduced density matrices are always contracted straight from the state
 vector (see ``states.reduced_density_vector``); a 2^16 x 2^16 operator is
 never materialized.
@@ -20,14 +28,22 @@ never materialized.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .objective import ObjectiveConfig, _cached_state_objective, _parameter_gradient, _unitaries
-from .optimize import AdamConfig, ShotRecord, gaussian_entries, lockstep_shots, map_chunks
+from .optimize import (
+    AdamConfig,
+    ShotRecord,
+    gaussian_entries,
+    lockstep_shots,
+    map_chunks,
+    shot_threads,
+)
 from .states import Dims, PartitionSpec, QuditState
 
 GATE_DIM = 4
@@ -131,37 +147,39 @@ def _natural(y: np.ndarray, pos: int) -> np.ndarray:
     return y.reshape(y.shape[0], 2**pos, -1).transpose(1, 0, 2).reshape(-1)
 
 
-def _run_circuit(layout: MeraLayout, u: np.ndarray, record=None) -> np.ndarray:
+def _run_circuit(layout: MeraLayout, u: np.ndarray) -> np.ndarray:
     amps = np.zeros(4, dtype=np.complex128)
     amps[0] = 1.0
     for (pos, kind), ug in zip(layout.ops, u):
         w = ug[:, _columns(kind)]
-        x = _gate_first(amps, pos, w.shape[1])
-        if record is not None:
-            record.append(x)
-        amps = _natural(w @ x, pos)
+        amps = _natural(w @ _gate_first(amps, pos, w.shape[1]), pos)
     return amps
 
 
-def _circuit_grad(layout: MeraLayout, gates, cotangent: np.ndarray, inputs) -> np.ndarray:
+def _circuit_grad(layout: MeraLayout, gates, amps: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
     """Backpropagate a state-space gradient through the circuit.
 
-    ``gates`` is the stacked (U, theta, V) of _gate_unitaries and ``inputs``
-    holds each gate's gate-first input (as recorded by _run_circuit).  An
-    isometry's gradient fills only the columns its map reads; the others are
-    exact zeros, as the state does not depend on them.  Returns the real
-    gradient over the flattened gate parameters.
+    ``gates`` is the stacked (U, theta, V) of _gate_unitaries and ``amps``
+    the circuit's output state.  Walking the gates backward, each gate's
+    input is uncomputed from its output as W^dag y, which is exact as
+    W^dag W = 1 for the unitaries and the 4x2 isometries alike.  An
+    isometry's gradient fills only the columns its map reads; the others
+    are exact zeros, as the state does not depend on them.  Returns the
+    real gradient over the flattened gate parameters.
     """
     u, theta, v = gates
     g_u = np.zeros_like(u)
-    c = cotangent
+    y, c = amps, cotangent
     for g in range(layout.num_gates - 1, -1, -1):
         pos, kind = layout.ops[g]
         cols = _columns(kind)
+        w_dag = u[g][:, cols].conj().T
+        x = w_dag @ _gate_first(y, pos, GATE_DIM)
         c_front = _gate_first(c, pos, GATE_DIM)
-        g_u[g][:, cols] = c_front @ inputs[g].conj().T
-        # cotangent through the gate: c_before = W^dag c_after
-        c = _natural(u[g][:, cols].conj().T @ c_front, pos)
+        g_u[g][:, cols] = c_front @ x.conj().T
+        # cotangent and state through the gate: c_before = W^dag c_after
+        c = _natural(w_dag @ c_front, pos)
+        y = _natural(x, pos)
     return _parameter_gradient(theta, v, g_u).reshape(-1)
 
 
@@ -196,10 +214,9 @@ def mera_value_and_gradient(
     obj = _cached_state_objective(cfg)
     if gradient == "analytic":
         gates = _gate_unitaries(layout, params)
-        inputs: list[np.ndarray] = []
-        amps = _run_circuit(layout, gates[0], record=inputs)
+        amps = _run_circuit(layout, gates[0])
         value, g_psi, _ = obj(amps)
-        return value, _circuit_grad(layout, gates, g_psi, inputs)
+        return value, _circuit_grad(layout, gates, amps, g_psi)
     if gradient != "fd":
         raise ValueError(f"gradient must be 'fd' or 'analytic', got {gradient!r}")
     x = _flatten(params)
@@ -222,9 +239,13 @@ def initial_mera_params(layout: MeraLayout, rng: np.random.Generator) -> MeraPar
 
 
 def _mera_shots(
-    layout: MeraLayout, cfg: ObjectiveConfig, adam: AdamConfig, gradient: str, seeds: Sequence[int]
+    layout: MeraLayout, cfg: ObjectiveConfig, adam: AdamConfig, gradient: str, seeds: Sequence[int],
+    stop: Optional[threading.Event] = None,
 ) -> list[ShotRecord]:
-    """MERA shots for the seeds in one lockstep stack, evaluated one row at a time."""
+    """MERA shots for the seeds in one lockstep stack, evaluated one row at a time.
+
+    ``stop`` is as for :func:`optimize.descend`.
+    """
 
     def vg(x: np.ndarray):
         rows = [mera_value_and_gradient(layout, _unflatten(r, layout.num_gates), cfg, gradient)
@@ -234,7 +255,7 @@ def _mera_shots(
     def init(rng: np.random.Generator) -> np.ndarray:
         return _flatten(initial_mera_params(layout, rng))
 
-    return lockstep_shots(cfg, adam, seeds, init, vg, "mera")
+    return lockstep_shots(cfg, adam, seeds, init, vg, "mera", stop)
 
 
 def run_mera_shot(
@@ -257,7 +278,9 @@ def run_mera_search(
     parallelism: int = 1,
 ) -> list[ShotRecord]:
     """Batched MERA shots, results in seed order."""
-    return map_chunks(partial(_mera_shots, layout, cfg, adam, gradient), list(seeds), parallelism)
+    seeds = list(seeds)
+    return map_chunks(partial(_mera_shots, layout, cfg, adam, gradient), seeds, parallelism,
+                      shot_threads(len(seeds), parallelism, cfg, "mera"))
 
 
 def mera_state_from_record(record: ShotRecord) -> QuditState:

@@ -335,12 +335,16 @@ class _StateObjective:
             return value[0], g_psi, {k: v[0] for k, v in extras.items()}
         q, log_div = self.q, self.log_div
 
+        # every density matrix is dropped after its eigh and every backward
+        # operand after use, so that few (S, d, d) arrays are alive at once
         rho1, t1 = self.marg_aap.forward(amps)
         lam1, w1 = np.linalg.eigh(rho1)
+        del rho1
         s_aap, g1 = _entropy_grad_diag(lam1, 1.0, log_div)
 
         rho_ab, t_ab = self.marg_ab.forward(amps)
         mu, vr = np.linalg.eigh(rho_ab)
+        del rho_ab
         if float(mu.min()) < -1e-8:
             raise FloatingPointError(f"rho_AB lost positivity: min eigenvalue {mu.min()!r}")
         # sub-clip eigenvalues are structural zeros of the rank-deficient
@@ -350,7 +354,9 @@ class _StateObjective:
         phi = x.reshape(len(x), -1)
 
         rho2, t2 = self.marg_ref.forward(phi)
+        del x, phi
         lam2, w2 = np.linalg.eigh(rho2)
+        del rho2
         s_ref, g2 = _entropy_grad_diag(lam2, q, log_div)
 
         gap_value = s_aap - 0.5 * s_ref
@@ -363,6 +369,7 @@ class _StateObjective:
             for marg, sign in self.i3_terms:
                 rho_s, t_s = marg.forward(amps)
                 lam_s, w_s = np.linalg.eigh(rho_s)
+                del rho_s
                 s_val, g_s = _entropy_grad_diag(lam_s, 1.0, log_div)
                 m_i3 = m_i3 + sign * s_val
                 pen.append((marg, sign * g_s, w_s, t_s))
@@ -382,14 +389,18 @@ class _StateObjective:
             g1 = np.where(hinge[:, None], (1.0 - self.weight) * g1, g1)  # the hinge's -weight * S_AA'
         g_rho1 = (w1 * g1[:, None, :]) @ _dagger(w1)
         g_psi = self.marg_aap.backward(g_rho1, t1)
+        del g_rho1, t1, w1
 
         g_rho2 = (w2 * (-0.5 * g2)[:, None, :]) @ _dagger(w2)
         g_phi = self.marg_ref.backward(g_rho2, t2)
+        del g_rho2, t2, w2
         g_x = g_phi.reshape(-1, self.d_ab, self.d_ab)
         g_x = 0.5 * (g_x + _dagger(g_x))
         k = _sqrt_dk_matrix(root)
         g_rho_ab = vr @ ((_dagger(vr) @ g_x @ vr) * k) @ _dagger(vr)
+        del g_x, k, vr
         g_psi = g_psi + self.marg_ab.backward(g_rho_ab, t_ab)
+        del g_rho_ab, t_ab
 
         if hinge is not None:
             g_pen = g_psi

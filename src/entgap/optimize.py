@@ -4,21 +4,28 @@ Shots run in lockstep: :func:`descend` advances a stack of S shots (S, n)
 with one stacked objective call and one :func:`adam_step` call per step,
 tracks each shot's best point and trace, and retires a shot alone when it
 fails.  A batch splits its seeds into ``parallelism`` contiguous chunks,
-one per worker, and each worker steps its chunk as one stack.
+one per worker process.  Each process spends its OpenBLAS thread budget
+(``OPENBLAS_NUM_THREADS``, or the library's default) on shots rather than
+inside BLAS calls: it splits its chunk into :func:`shot_threads` contiguous
+sub-chunks, one per thread, each stepped as one stack, while OpenBLAS runs
+on one thread.  Pool workers have a budget of one thread, and shots whose
+steps decompose only small matrices step on one thread (MIN_THREADED_DIM).
 
 Reproducibility contract: every shot owns a PCG64 generator seeded with its
 shot seed, shot seeds derive from a master seed as ``master ^ shot_index``,
 every stacked operation treats shots independently (a shot steps bit for
-bit as it would alone), and batch results are returned in seed order
-regardless of the execution parallelism, so (seed, configs) fully
-determine each record.
+bit as it would alone), every batch runs its BLAS calls on one OpenBLAS
+thread, and batch results are returned in seed order regardless of the
+execution parallelism or thread budget, so (seed, configs) fully determine
+each record.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -160,10 +167,15 @@ def _evaluate(value_and_grad: StackValueGrad, x: np.ndarray):
     return values, grads, errors
 
 
+class Stopped(Exception):
+    """A stack abandoned mid-descent because its ``stop`` event was set."""
+
+
 def descend(
     x0: np.ndarray,
     value_and_grad: StackValueGrad,
     adam: AdamConfig,
+    stop: Optional[threading.Event] = None,
 ) -> list:
     """Run ADAM in lockstep from every row of x0 (S, n), tracking each row's best objective.
 
@@ -172,6 +184,7 @@ def descend(
     bit as it would alone.  A FloatingPointError or a non-finite objective ends
     a row early with what it found so far; any other exception, or a
     non-finite gradient, which adam_step rejects, fails the row outright.
+    Once ``stop`` is set, the next step raises :class:`Stopped` instead.
 
     Returns, per row, the exception that failed it or (best_value, best_x,
     steps_run, trace, failed, note).  The objective is evaluated at the
@@ -186,22 +199,24 @@ def descend(
     best_x = x.copy()
     out: list = [None] * x.shape[0]
 
-    def stop(j: int, t: int, note: str) -> None:
+    def end_row(j: int, t: int, note: str) -> None:
         i = rows[j]
         out[i] = (float(best[i]), best_x[i].copy(), t - 1, traces[i, :t - 1].copy(), True, note)
 
     for t in range(1, adam.steps + 1):
+        if stop is not None and stop.is_set():
+            raise Stopped(f"stopped at step {t}")
         values, grads, errors = _evaluate(value_and_grad, x)
         live = np.isfinite(values) & np.all(np.isfinite(grads), axis=1)
         if not live.all():
             for j in np.flatnonzero(~live):
                 exc = errors.get(j)
                 if isinstance(exc, FloatingPointError):
-                    stop(j, t, str(exc))
+                    end_row(j, t, str(exc))
                 elif exc is not None:
                     out[rows[j]] = exc
                 elif not np.isfinite(values[j]):
-                    stop(j, t, f"non-finite objective {float(values[j])!r}")
+                    end_row(j, t, f"non-finite objective {float(values[j])!r}")
                 else:
                     out[rows[j]] = FloatingPointError(NONFINITE_GRADIENT)
             x, values, grads, rows = x[live], values[live], grads[live], rows[live]
@@ -225,7 +240,7 @@ MAX_STACK = 64
 def lockstep_shots(
     cfg: ObjectiveConfig, adam: AdamConfig, seeds: Sequence[int],
     init: Callable[[np.random.Generator], np.ndarray], value_and_grad: StackValueGrad,
-    family: str,
+    family: str, stop: Optional[threading.Event] = None,
 ) -> list[ShotRecord]:
     """Seeded shots of either search family, stepped together by :func:`descend`.
 
@@ -233,12 +248,12 @@ def lockstep_shots(
     generator seeded with ``seed``, so each record depends on its seed alone.
     Seeds are stepped in stacks of at most MAX_STACK.  The best real point is
     recorded as complex entries, the real row viewed as complex128.  Records
-    come in seed order.
+    come in seed order.  ``stop`` is as for :func:`descend`.
     """
     outcomes = []
     for i in range(0, len(seeds), MAX_STACK):
         x0 = np.stack([init(np.random.Generator(np.random.PCG64(s))) for s in seeds[i:i + MAX_STACK]])
-        outcomes += descend(x0, value_and_grad, adam)
+        outcomes += descend(x0, value_and_grad, adam, stop)
     records = []
     for seed, res in zip(seeds, outcomes):
         if isinstance(res, Exception):  # failed outright: no steps, objective inf
@@ -261,7 +276,9 @@ def lockstep_shots(
     return records
 
 
-def run_shots(cfg: ObjectiveConfig, adam: AdamConfig, seeds: Sequence[int]) -> list[ShotRecord]:
+def run_shots(
+    cfg: ObjectiveConfig, adam: AdamConfig, seeds: Sequence[int], stop: Optional[threading.Event] = None
+) -> list[ShotRecord]:
     """Gap-search shots for the seeds, in one lockstep stack; deterministic in (cfg, adam, seed)."""
     d = cfg.dims.total
 
@@ -272,7 +289,7 @@ def run_shots(cfg: ObjectiveConfig, adam: AdamConfig, seeds: Sequence[int]) -> l
     def init(rng: np.random.Generator) -> np.ndarray:
         return initial_params(d, rng).entries.view(np.float64)
 
-    return lockstep_shots(cfg, adam, seeds, init, vg, "unitary")
+    return lockstep_shots(cfg, adam, seeds, init, vg, "unitary", stop)
 
 
 def run_shot(cfg: ObjectiveConfig, adam: AdamConfig, seed: int) -> ShotRecord:
@@ -289,14 +306,69 @@ def _openblas_call(name: str, *args):
     return out
 
 
+def _set_blas_threads(count: int) -> None:
+    _openblas_call("scipy_openblas_set_num_threads64_", ctypes.c_int(count))
+
+
 def _one_blas_thread() -> None:
     """Pool initializer: one thread for numpy's bundled OpenBLAS, a no-op without it."""
-    _openblas_call("scipy_openblas_set_num_threads64_", ctypes.c_int(1))
+    _set_blas_threads(1)
 
 
 def blas_threads() -> Optional[int]:
-    """The thread count numpy's bundled OpenBLAS runs at in this process; None without it."""
+    """The thread count numpy's bundled OpenBLAS is set to in this process; None without it.
+
+    It is the process's thread budget: :func:`shot_threads` spends it on shots.
+    """
     return _openblas_call("scipy_openblas_get_num_threads64_")
+
+
+@contextlib.contextmanager
+def _blas_on_one_thread():
+    """OpenBLAS on one thread inside the block, back at its own count after it."""
+    # the library's own count, even where blas_threads is replaced to state another budget
+    before = _openblas_call("scipy_openblas_get_num_threads64_")
+    _one_blas_thread()
+    try:
+        yield
+    finally:
+        if before is not None:
+            _set_blas_threads(before)
+
+
+# Shot threads beat one thread only where a shot's step spends most of its
+# time in numpy calls on matrices at least this large, which run without the
+# GIL.  8-seed batches on a 2-vCPU host stepped on two threads: 3,3,2,2
+# (d = 36) x1.3 faster, 16-qubit MERA (256x256 marginals) x1.6, but
+# 2,2,2,2 (d = 16) and 8-qubit MERA (16x16 marginals) 25-45% slower;
+# 3,2,2,2 (d = 24) read 10% faster, inside the run-to-run spread
+# (BENCH_shot_threads.json, "small_problems").
+MIN_THREADED_DIM = 32
+
+
+def _step_dim(cfg: ObjectiveConfig, family: str) -> int:
+    """The size of the largest matrices a shot's step decomposes.
+
+    The unitary family exponentiates a d x d generator; a MERA step's
+    largest matrix is rho_AB.
+    """
+    if family == "mera":
+        part = cfg.partition
+        return int(np.prod([cfg.dims.sites[s] for s in part.a_sites + part.b_sites]))
+    return cfg.dims.total
+
+
+def shot_threads(count: int, parallelism: int, cfg: ObjectiveConfig, family: str = "unitary") -> int:
+    """Threads each process steps its chunk of ``count`` seeds of ``family`` on.
+
+    The count is the process's OpenBLAS thread budget, :func:`blas_threads`,
+    but no more threads than seeds; it is one in pool workers
+    (``parallelism`` > 1), on another BLAS build, and when the largest
+    matrices a step decomposes are smaller than MIN_THREADED_DIM.
+    """
+    if parallelism > 1 or _step_dim(cfg, family) < MIN_THREADED_DIM:
+        return 1
+    return min(blas_threads() or 1, count)
 
 
 def run_batch(
@@ -306,16 +378,68 @@ def run_batch(
     parallelism: int = 1,
 ) -> list[ShotRecord]:
     """Independent shots for every seed, results in seed order."""
-    return map_chunks(partial(run_shots, cfg, adam), list(seeds), parallelism)
+    seeds = list(seeds)
+    return map_chunks(partial(run_shots, cfg, adam), seeds, parallelism,
+                      shot_threads(len(seeds), parallelism, cfg))
 
 
-def map_chunks(run: Callable[[list], list], seeds: list, parallelism: int) -> list[ShotRecord]:
-    """``run`` on ``parallelism`` contiguous chunks of the seeds, one per worker, in seed order."""
+def _split(seeds: list, k: int) -> list[list]:
+    """``k`` contiguous chunks of the seeds, sizes differing by one at most."""
+    return [seeds[len(seeds) * i // k:len(seeds) * (i + 1) // k] for i in range(k)]
+
+
+def map_chunks(run: Callable[..., list], seeds: list, parallelism: int, threads: int) -> list[ShotRecord]:
+    """``run`` on ``parallelism`` contiguous chunks of the seeds, one per worker, in seed order.
+
+    Each worker steps its chunk on ``threads`` threads (:func:`shot_threads`,
+    :func:`_step_on_threads`).  ``run(seeds[, stop])`` steps the seeds and
+    raises :class:`Stopped` at its next step once the threading.Event
+    ``stop`` is set.
+    """
     if not seeds:
         raise ValueError("seeds must be non-empty")
-    k = max(1, min(parallelism, len(seeds)))
-    chunks = [seeds[len(seeds) * i // k:len(seeds) * (i + 1) // k] for i in range(k)]
-    return [rec for part in map_shots(run, chunks, parallelism) for rec in part]
+    chunks = _split(seeds, max(1, min(parallelism, len(seeds))))
+    return [rec for part in map_shots(partial(_step_on_threads, run, threads), chunks, parallelism)
+            for rec in part]
+
+
+def _run_or_stop(run: Callable[..., list], stop: threading.Event, part: list) -> list:
+    """``run`` on a helper thread's sub-chunk; its exception stops the other threads."""
+    try:
+        return run(part, stop)
+    except BaseException:
+        stop.set()
+        raise
+
+
+def _step_on_threads(run: Callable[..., list], threads: int, seeds: list) -> list:
+    """``run`` on ``threads`` contiguous sub-chunks of the seeds, in seed order.
+
+    OpenBLAS runs on one thread, as in pool workers, so a shot rounds alike
+    however the seeds are split.  The calling thread steps the first
+    sub-chunk and one helper thread each of the others.  When a sub-chunk
+    raises, or the calling thread is interrupted, the other threads stop at
+    their next step, and the exception propagates once every thread has
+    stopped.
+    """
+    parts = _split(seeds, threads)
+    with _blas_on_one_thread():
+        if len(parts) == 1:
+            return run(seeds)
+        stop = threading.Event()
+        with ThreadPoolExecutor(max_workers=len(parts) - 1) as helpers:
+            try:
+                rest = [helpers.submit(_run_or_stop, run, stop, part) for part in parts[1:]]
+                first = run(parts[0], stop)
+            except Stopped:
+                first = None  # a helper raised: its exception is raised below
+            except BaseException:  # Ctrl-C included: the helpers stop before this propagates
+                stop.set()
+                raise
+    for f in rest:  # the first helper exception that is not a stop
+        if f.exception() is not None and not isinstance(f.exception(), Stopped):
+            raise f.exception()
+    return first + [rec for f in rest for rec in f.result()]
 
 
 def map_shots(worker: Callable, jobs: list, parallelism: int) -> list:

@@ -1,10 +1,12 @@
 import inspect
+import json
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from entgap.cli import build_parser
+from entgap.cli import build_parser, main
 from entgap.io import shot_to_dict
 from entgap.mera import (
     ENTRIES_PER_GATE,
@@ -20,7 +22,7 @@ from entgap.mera import (
     run_mera_shot,
 )
 from entgap.objective import gap
-from entgap.optimize import AdamConfig, state_from_record
+from entgap.optimize import AdamConfig, blas_threads, state_from_record
 from entgap.states import Dims, QuditState, density_from_state, partial_trace, reduced_density_vector
 
 
@@ -159,6 +161,39 @@ def test_sixteen_qubit_shot_protocol_smoke():
     assert rec.best_params.shape == (lay.num_entries,)
     psi = mera_state_from_record(rec)
     assert abs(gap(psi, rec.partition, 1.0) - rec.best_gap) < 1e-12
+
+
+def test_sixteen_qubit_logs_are_identical_at_any_parallelism(tmp_path):
+    # every batch runs OpenBLAS on one thread, in this process as in pool workers
+    logs = []
+    for par in ("1", "2"):
+        out = tmp_path / f"p{par}"
+        assert main(["mera", "--qubits", "16", "--seeds", "2", "--steps", "2",
+                     "--parallelism", par, "--out", str(out)]) == 0
+        logs.append((out / "shots.jsonl").read_bytes())
+        manifest = json.loads((out / "shots.jsonl.manifest.json").read_text())
+        assert manifest["shot_threads"] == (min(blas_threads() or 1, 2) if par == "1" else 1)
+    assert logs[0] == logs[1]
+    # a one-seed run rounds as that seed does inside the batch
+    assert main(["mera", "--qubits", "16", "--seeds", "1", "--steps", "2",
+                 "--out", str(tmp_path / "one")]) == 0
+    assert (tmp_path / "one" / "shots.jsonl").read_bytes() == logs[0].splitlines(keepends=True)[0]
+
+
+def test_sixteen_qubit_value_and_gradient_memory(rng):
+    # the backward pass uncomputes gate inputs rather than recording them, and
+    # the objective drops each density matrix and backward operand after use
+    lay = mera_layout(16)
+    cfg = mera_objective_config(16)
+    params = initial_mera_params(lay, rng)
+    mera_value_and_gradient(lay, params, cfg)  # builds the cached objective
+    tracemalloc.start()
+    try:
+        mera_value_and_gradient(lay, params, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import ctypes
 import math
+import sys
+import threading
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,7 @@ from entgap.optimize import (
     state_gap_curve,
     sweep_min_gap,
 )
+import entgap.optimize as opt
 from entgap.states import Dims, QuditState, default_partition
 
 from conftest import bell_pair, load_fixture_state, random_state
@@ -148,6 +152,194 @@ def test_shot_workers_run_one_blas_thread():
     assert _openblas_threads() == before  # the calling process keeps its threads
 
 
+def _spy_chunks(monkeypatch, module, name):
+    """Wrap ``module.name``, a chunk runner, to log (thread, seeds, OpenBLAS threads) per call."""
+    real, calls, lock = getattr(module, name), [], threading.Lock()
+
+    def spy(*args):
+        seeds = next(a for a in args if isinstance(a, list))  # args end in (seeds[, stop])
+        with lock:
+            calls.append((threading.get_ident(), seeds, _openblas_threads() if OPENBLAS else None))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _check_split(calls, seeds, threads):
+    """The chunks ran on ``threads`` threads, the first on this one, OpenBLAS on one thread."""
+    by_first = sorted(calls, key=lambda c: seeds.index(c[1][0]))
+    assert [s for c in by_first for s in c[1]] == seeds  # contiguous, in seed order
+    assert [len(c[1]) for c in by_first] == [len(p) for p in opt._split(seeds, threads)]
+    assert len({c[0] for c in calls}) == threads
+    assert by_first[0][0] == threading.get_ident()
+    assert {c[2] for c in calls} == {1 if OPENBLAS else None}
+
+
+def _mera_case():
+    from entgap.mera import mera_layout, mera_objective_config, run_mera_search
+
+    lay, cfg = mera_layout(8), mera_objective_config(8)
+    return partial(run_mera_search, lay, cfg), "entgap.mera", "_mera_shots"
+
+
+def _unitary_case(penalty):
+    dims = Dims((3, 3, 2, 2))
+    cfg = ObjectiveConfig(dims, default_partition(dims), penalty_enabled=penalty)
+    return partial(run_batch, cfg), "entgap.optimize", "run_shots"
+
+
+@pytest.mark.parametrize("case,count", [
+    (partial(_unitary_case, False), 16), (partial(_unitary_case, True), 16), (_mera_case, 4),
+], ids=["unitary", "penalized", "mera8"])
+def test_threaded_batch_equals_each_seed_alone(monkeypatch, case, count):
+    search, module, runner = case()
+    adam = AdamConfig(steps=20)
+    seeds = derive_seeds(11, count)
+    alone = [_dicts(search(adam, [s]))[0] for s in seeds]
+    before = _openblas_threads() if OPENBLAS else None
+    interval = sys.getswitchinterval()
+    for budget in (1, 2, 3):
+        with monkeypatch.context() as mp:
+            mp.setattr(opt, "blas_threads", lambda: budget)
+            mp.setattr(opt, "MIN_THREADED_DIM", 0)  # 8-qubit MERA steps on threads too
+            calls = _spy_chunks(mp, sys.modules[module], runner)
+            sys.setswitchinterval(1e-5)  # interleave the threads' Python code finely
+            try:
+                assert _dicts(search(adam, seeds)) == alone, budget
+            finally:
+                sys.setswitchinterval(interval)
+        _check_split(calls, seeds, budget)
+        if OPENBLAS:
+            assert _openblas_threads() == before  # restored after the batch
+
+
+@pytest.mark.parametrize("count,budget,sizes", [(5, 2, [2, 3]), (1, 2, [1]), (1, 3, [1])])
+def test_uneven_thread_splits(monkeypatch, count, budget, sizes):
+    cfg, adam = small_config(), AdamConfig(steps=20)
+    seeds = derive_seeds(3, count)
+    alone = [_dicts(run_batch(cfg, adam, [s]))[0] for s in seeds]
+    before = _openblas_threads() if OPENBLAS else None
+    monkeypatch.setattr(opt, "blas_threads", lambda: budget)
+    monkeypatch.setattr(opt, "MIN_THREADED_DIM", 0)
+    calls = _spy_chunks(monkeypatch, opt, "run_shots")
+    assert _dicts(run_batch(cfg, adam, seeds)) == alone
+    assert sorted(len(c[1]) for c in calls) == sizes
+    _check_split(calls, seeds, len(sizes))  # a single seed runs on this thread alone
+    if OPENBLAS:
+        assert _openblas_threads() == before
+
+
+def test_small_problems_step_on_one_thread(monkeypatch):
+    # below MIN_THREADED_DIM a second thread only contends for the GIL
+    from entgap.mera import mera_objective_config
+
+    monkeypatch.setattr(opt, "blas_threads", lambda: 2)
+    small, large = small_config(), small_config((3, 3, 2, 2))  # d = 16 and 36
+    assert opt.shot_threads(4, 1, small) == 1 and opt.shot_threads(4, 1, large) == 2
+    assert opt.shot_threads(4, 2, large) == 1 and opt.shot_threads(1, 1, large) == 1
+    # MERA's largest matrix is rho_AB: 16x16 at 8 qubits, 256x256 at 16
+    assert opt.shot_threads(4, 1, mera_objective_config(8), "mera") == 1
+    assert opt.shot_threads(4, 1, mera_objective_config(16), "mera") == 2
+    adam, seeds = AdamConfig(steps=5), derive_seeds(5, 4)
+    calls = _spy_chunks(monkeypatch, opt, "run_shots")
+    run_batch(small, adam, seeds)
+    _check_split(calls, seeds, 1)
+
+
+@pytest.mark.parametrize("exc,code", [(ValueError("bad chunk"), 2), (RuntimeError("bad chunk"), None)])
+def test_exception_in_a_helper_thread_propagates(monkeypatch, tmp_path, capsys, exc, code):
+    from entgap.cli import main
+
+    seeds = derive_seeds(0, 4)
+    real = opt.run_shots
+
+    def run_shots(cfg, adam, chunk, stop=None):
+        if seeds[-1] in chunk:  # the last sub-chunk: a helper thread's
+            assert threading.get_ident() != main_thread
+            raise exc
+        return real(cfg, adam, chunk, stop)
+
+    main_thread = threading.get_ident()
+    before = _openblas_threads() if OPENBLAS else None
+    monkeypatch.setattr(opt, "blas_threads", lambda: 2)
+    monkeypatch.setattr(opt, "MIN_THREADED_DIM", 0)
+    monkeypatch.setattr(opt, "run_shots", run_shots)
+    argv = ["optimize", "--dims", "2,2,2,2", "--seeds", "4", "--steps", "5",
+            "--out", str(tmp_path / "run")]
+    outcome = {}
+
+    def invoke():
+        try:
+            outcome["rc"] = main(argv)
+        except Exception as raised:
+            outcome["raised"] = raised
+
+    worker = threading.Thread(target=invoke, daemon=True)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()  # no hang
+    if code is None:  # escapes main, as it does from the calling thread: exit status 1
+        assert outcome["raised"] is exc
+    else:
+        assert outcome["rc"] == code
+        assert capsys.readouterr().err == "error: bad chunk\n"
+    assert not (tmp_path / "run" / "shots.jsonl").exists()
+    if OPENBLAS:
+        assert _openblas_threads() == before
+
+
+@pytest.mark.parametrize("exc,failing", [
+    (RuntimeError("bad chunk"), "calling"), (RuntimeError("bad chunk"), "helper"),
+    (KeyboardInterrupt(), "calling"),
+])
+def test_a_failing_chunk_stops_the_other_threads(monkeypatch, exc, failing):
+    # the failing chunk raises once the other one is stepping; the other then
+    # stops at its next step instead of running out its budget
+    steps = 20000
+    seeds = derive_seeds(0, 4)
+    bad_seed = seeds[0] if failing == "calling" else seeds[-1]
+    real_shots, real_vg = opt.run_shots, opt.stacked_value_and_gradient
+    stepping, evaluations = threading.Event(), []
+
+    def vg(x, cfg, want_grad=True):
+        evaluations.append(len(x))
+        stepping.set()
+        return real_vg(x, cfg, want_grad)
+
+    def run_shots(cfg, adam, chunk, stop=None):
+        if bad_seed in chunk:
+            assert stepping.wait(timeout=60)
+            raise exc
+        return real_shots(cfg, adam, chunk, stop)
+
+    before = _openblas_threads() if OPENBLAS else None
+    monkeypatch.setattr(opt, "blas_threads", lambda: 2)
+    monkeypatch.setattr(opt, "MIN_THREADED_DIM", 0)
+    monkeypatch.setattr(opt, "run_shots", run_shots)
+    monkeypatch.setattr(opt, "stacked_value_and_gradient", vg)
+    with pytest.raises(type(exc)) as raised:
+        run_batch(small_config(), AdamConfig(steps=steps), seeds)
+    assert raised.value is exc
+    assert 0 < len(evaluations) < steps // 10  # stopped, not run out
+    assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+    if OPENBLAS:
+        assert _openblas_threads() == before
+
+
+def test_descend_stops_when_asked():
+    from entgap.optimize import Stopped, descend
+
+    stop = threading.Event()
+
+    def vg(x):
+        stop.set()  # asked during the first step: the second does not start
+        return np.sum(x * x, axis=1), 2 * x
+
+    with pytest.raises(Stopped, match="step 2"):
+        descend(np.ones((2, 3)), vg, AdamConfig(steps=10), stop)
+
+
 def test_descend_aborts_on_nonfinite_objective():
     from entgap.optimize import descend
 
@@ -248,19 +440,33 @@ def test_seeds_beyond_one_stack_run_in_further_stacks(monkeypatch):
 FAULT_STEP = 5
 
 
-def _fail_one_row(monkeypatch, kind, row=1):
-    """From the FAULT_STEP-th stacked call on, the point stack row ``row`` held then fails."""
+def _point_at_fault(cfg, seed):
+    """The point shot ``seed`` evaluates at step FAULT_STEP, recorded from a run of it alone."""
+    import entgap.optimize as opt
+
+    real, points = opt.stacked_value_and_gradient, []
+
+    def spy(x, c, want_grad=True):
+        points.append(x[0].copy())
+        return real(x, c, want_grad)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opt, "stacked_value_and_gradient", spy)
+        run_shot(cfg, AdamConfig(steps=FAULT_STEP), seed)
+    return points[FAULT_STEP - 1]
+
+
+def _fail_one_row(monkeypatch, kind, bad):
+    """Every stack row that holds the point ``bad`` fails, in whichever stack and thread it is stepped.
+
+    A shot steps bit for bit as it would alone, so ``bad`` follows its seed through any split.
+    """
     import entgap.optimize as opt
 
     real = opt.stacked_value_and_gradient
-    seen = {"calls": 0, "bad": None}
 
     def flaky(x, cfg, want_grad=True):
-        if len(x) > 1:
-            seen["calls"] += 1
-            if seen["calls"] == FAULT_STEP:
-                seen["bad"] = x[row].copy()
-        hit = [j for j in range(len(x)) if seen["bad"] is not None and np.array_equal(x[j], seen["bad"])]
+        hit = [j for j in range(len(x)) if np.array_equal(x[j], bad)]
         if hit and kind == "floating-point":
             raise FloatingPointError("row blew up")
         if hit and kind == "other":
@@ -284,11 +490,12 @@ def test_run_batch_records_individual_failures(monkeypatch):
     cfg, adam, seeds = small_config(), AdamConfig(steps=40), [0, 1, 2]
     clean = _dicts(run_batch(cfg, adam, seeds))
     until_fault = run_shot(cfg, AdamConfig(steps=FAULT_STEP - 1), 1)
+    bad = _point_at_fault(cfg, 1)
     ended = {"floating-point": "row blew up", "nan-objective": "non-finite objective nan"}
     failed = {"other": "RuntimeError: boom",
               "nan-gradient": "FloatingPointError: non-finite gradient in adam_step"}
     for kind in [*ended, *failed]:
-        _fail_one_row(monkeypatch, kind)
+        _fail_one_row(monkeypatch, kind, bad)
         records = opt.run_batch(cfg, adam, seeds)
         monkeypatch.undo()
         assert [r.seed for r in records] == seeds
