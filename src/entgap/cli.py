@@ -301,8 +301,8 @@ def _cmd_mera(args) -> int:
 
 
 def _cmd_bound_check(args) -> int:
-    if args.q < 2.0:
-        print("bound-check is meaningful for q >= 2 only", file=sys.stderr)
+    if not (np.isfinite(args.q) and args.q >= 2.0):
+        print("bound-check is meaningful for finite q >= 2 only", file=sys.stderr)
         return 2
     if args.samples < 1:
         print("bound-check needs --samples >= 1", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -64,6 +65,7 @@ def _partition_dict(p: PartitionSpec) -> dict:
 
 
 NORM_GUARD = 0.05
+EXPECTED_NAMES = ("s_aap", "s_r", "gap")  # each may carry a tolerance "tol_<name>"
 
 
 @dataclass(frozen=True)
@@ -127,6 +129,17 @@ def parse_state_file(path: Union[str, Path]) -> ParsedStateFile:
     bad = np.flatnonzero(~np.isfinite(amps))
     if bad.size:
         raise StateFileError(f"amplitude {bad[0]} is not finite: {raw[bad[0]]}")
+    for key, value in (data.get("expected") or {}).items():
+        if key.removeprefix("tol_") not in EXPECTED_NAMES:
+            continue  # free-form fields, such as log_base
+        tolerance = key.startswith("tol_")
+        try:  # isfinite takes ints and floats only, and overflows on huge ints
+            ok = not isinstance(value, bool) and math.isfinite(value) and (value >= 0 or not tolerance)
+        except (TypeError, OverflowError):
+            ok = False
+        if not ok:
+            raise StateFileError(f"expected field {key!r} must be a finite number"
+                                 f"{' >= 0' if tolerance else ''}, got {value!r}")
     return ParsedStateFile(
         dims=dims,
         partition=partition,
@@ -240,15 +253,13 @@ def verify_state_file(path: Union[str, Path]) -> VerifyReport:
     checks: list = []
     passed = identity_error <= 1e-12
     if expected is not None:
-        names = [("s_aap", "tol_s_aap"), ("s_r", "tol_s_r"), ("gap", "tol_gap")]
-
         def try_base(valdict):
             out = []
-            for name, tolkey in names:
+            for name in EXPECTED_NAMES:
                 if name not in expected:
                     continue
                 want = float(expected[name])
-                tol = float(expected.get(tolkey, 0.02))
+                tol = float(expected.get("tol_" + name, 0.02))
                 comp = valdict[name]
                 out.append((name, comp, want, tol, abs(comp - want) <= tol))
             return out
@@ -352,28 +363,9 @@ def write_sweep_csv(records: Sequence[SweepRecord], path: Union[str, Path]) -> N
                ([fmt12(r.q), fmt12(r.min_gap), r.argmin_state_id] for r in records))
 
 
-def read_sweep_csv(path: Union[str, Path]) -> list[SweepRecord]:
-    out = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            out.append(
-                SweepRecord(
-                    q=float(row["q"]),
-                    min_gap=float(row["min_gap"]),
-                    argmin_state_id=row["state_id"],
-                )
-            )
-    return out
-
-
 def write_curve_csv(points: Sequence[tuple[float, float]], path: Union[str, Path]) -> None:
     points = sorted(points, key=lambda p: p[0])
     _write_csv(path, ["q", "gap"], ([fmt12(q), fmt12(g)] for q, g in points))
-
-
-def read_curve_csv(path: Union[str, Path]) -> list[tuple[float, float]]:
-    with open(path, newline="") as f:
-        return [(float(r["q"]), float(r["gap"])) for r in csv.DictReader(f)]
 
 
 def write_tmi_csv(rows: Sequence[tuple[int, float, float]], path: Union[str, Path]) -> None:
@@ -381,14 +373,6 @@ def write_tmi_csv(rows: Sequence[tuple[int, float, float]], path: Union[str, Pat
     rows = sorted(rows, key=lambda r: r[0])
     _write_csv(path, ["seed", "gap", "max_i3"],
                ([int(seed), fmt12(g), fmt12(mi3)] for seed, g, mi3 in rows))
-
-
-def read_tmi_csv(path: Union[str, Path]) -> list[tuple[int, float, float]]:
-    with open(path, newline="") as f:
-        return [
-            (int(r["seed"]), float(r["gap"]), float(r["max_i3"]))
-            for r in csv.DictReader(f)
-        ]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import prod
+from math import isfinite, prod
 from typing import Sequence
 
 import numpy as np
@@ -84,10 +84,10 @@ class ObjectiveConfig:
 
     def __post_init__(self) -> None:
         self.partition.validate_for(self.dims)
-        if self.q <= 0.0:
-            raise ValueError(f"Renyi index must be positive, got {self.q!r}")
-        if self.penalty_weight < 0.0:
-            raise ValueError("penalty weight must be non-negative")
+        if not (isfinite(self.q) and self.q > 0.0):
+            raise ValueError(f"Renyi index must be positive and finite, got {self.q!r}")
+        if not (isfinite(self.penalty_weight) and self.penalty_weight >= 0.0):
+            raise ValueError(f"penalty weight must be non-negative and finite, got {self.penalty_weight!r}")
 
 
 @lru_cache(maxsize=64)
@@ -140,16 +140,11 @@ def _parameter_gradient(theta: np.ndarray, v: np.ndarray, g_u: np.ndarray) -> np
     return np.ascontiguousarray(-2j * g_h[..., rows, cols]).view(np.float64)
 
 
-def unitary_from_params(p: UTParams) -> np.ndarray:
-    """The unitary exp(M - M^dag)."""
-    return _unitaries(p.entries.view(np.float64), p.d)[0]
-
-
 def state_from_params(p: UTParams, config: ObjectiveConfig) -> QuditState:
     """Apply the parametrized unitary to the equal superposition."""
     if p.d != config.dims.total:
         raise ValueError(f"parameter dimension {p.d} does not match dims {config.dims.sites}")
-    u = unitary_from_params(p)
+    u = _unitaries(p.entries.view(np.float64), p.d)[0]
     chi = equal_superposition(config.dims).amplitudes
     return QuditState(config.dims, u @ chi)
 
@@ -426,12 +421,6 @@ def _chi(dims: Dims) -> np.ndarray:
     return chi
 
 
-def objective_value(p: UTParams, config: ObjectiveConfig) -> float:
-    """The optimized objective: gap, or penalized gap when the penalty is on."""
-    value, _, _ = objective_value_and_gradient(p, config, want_grad=False)
-    return value
-
-
 def objective_value_and_gradient(
     p: UTParams, config: ObjectiveConfig, want_grad: bool = True
 ):
@@ -471,9 +460,3 @@ def stacked_value_and_gradient(x: np.ndarray, config: ObjectiveConfig, want_grad
     if not np.all(np.isfinite(grads)):
         raise FloatingPointError("parameter gradient is not finite")
     return values, grads, extras
-
-
-def objective_gradient(p: UTParams, config: ObjectiveConfig) -> np.ndarray:
-    """Analytic gradient of the (penalized) gap objective; see above for layout."""
-    _, grad, _ = objective_value_and_gradient(p, config)
-    return grad

@@ -8,8 +8,9 @@ one per worker process.  Each process spends its OpenBLAS thread budget
 (``OPENBLAS_NUM_THREADS``, or the library's default) on shots rather than
 inside BLAS calls: it splits its chunk into :func:`shot_threads` contiguous
 sub-chunks, one per thread, each stepped as one stack, while OpenBLAS runs
-on one thread.  Pool workers have a budget of one thread, and shots whose
-steps decompose only small matrices step on one thread (MIN_THREADED_DIM).
+on one thread (:func:`_step_on_threads`, in pool workers too).  Pool
+workers step their chunk on one thread, and so do shots whose steps
+decompose only small matrices (MIN_THREADED_DIM).
 
 Reproducibility contract: every shot owns a PCG64 generator seeded with its
 shot seed, shot seeds derive from a master seed as ``master ^ shot_index``,
@@ -28,6 +29,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from math import isfinite
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -57,8 +59,10 @@ class AdamConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not (isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate!r}")
+        if not (isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ValueError(f"epsilon must be non-negative and finite, got {self.epsilon!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 
@@ -136,11 +140,6 @@ def gaussian_entries(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     raw = rng.standard_normal(2 * n)
     # divided as complex numbers, which rounds differently from dividing raw
     return (raw[0::2] + 1j * raw[1::2]) / np.sqrt(2.0 * d)
-
-
-def initial_params(d: int, rng: np.random.Generator) -> UTParams:
-    """I.i.d. complex Gaussian entries of std 1/sqrt(d) (per complex entry)."""
-    return UTParams(d, gaussian_entries(UTParams.num_entries(d), d, rng))
 
 
 StackValueGrad = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -287,7 +286,7 @@ def run_shots(
         return values, grads
 
     def init(rng: np.random.Generator) -> np.ndarray:
-        return initial_params(d, rng).entries.view(np.float64)
+        return gaussian_entries(UTParams.num_entries(d), d, rng).view(np.float64)
 
     return lockstep_shots(cfg, adam, seeds, init, vg, "unitary", stop)
 
@@ -310,11 +309,6 @@ def _set_blas_threads(count: int) -> None:
     _openblas_call("scipy_openblas_set_num_threads64_", ctypes.c_int(count))
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: one thread for numpy's bundled OpenBLAS, a no-op without it."""
-    _set_blas_threads(1)
-
-
 def blas_threads() -> Optional[int]:
     """The thread count numpy's bundled OpenBLAS is set to in this process; None without it.
 
@@ -328,7 +322,7 @@ def _blas_on_one_thread():
     """OpenBLAS on one thread inside the block, back at its own count after it."""
     # the library's own count, even where blas_threads is replaced to state another budget
     before = _openblas_call("scipy_openblas_get_num_threads64_")
-    _one_blas_thread()
+    _set_blas_threads(1)
     try:
         yield
     finally:
@@ -391,16 +385,22 @@ def _split(seeds: list, k: int) -> list[list]:
 def map_chunks(run: Callable[..., list], seeds: list, parallelism: int, threads: int) -> list[ShotRecord]:
     """``run`` on ``parallelism`` contiguous chunks of the seeds, one per worker, in seed order.
 
-    Each worker steps its chunk on ``threads`` threads (:func:`shot_threads`,
-    :func:`_step_on_threads`).  ``run(seeds[, stop])`` steps the seeds and
-    raises :class:`Stopped` at its next step once the threading.Event
-    ``stop`` is set.
+    One chunk runs in this process, more in a process pool.  Each worker
+    steps its chunk on ``threads`` threads (:func:`shot_threads`,
+    :func:`_step_on_threads`) with OpenBLAS on one thread.
+    ``run(seeds[, stop])`` steps the seeds and raises :class:`Stopped` at
+    its next step once the threading.Event ``stop`` is set.
     """
     if not seeds:
         raise ValueError("seeds must be non-empty")
-    chunks = _split(seeds, max(1, min(parallelism, len(seeds))))
-    return [rec for part in map_shots(partial(_step_on_threads, run, threads), chunks, parallelism)
-            for rec in part]
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    chunks = _split(seeds, min(parallelism, len(seeds)))
+    worker = partial(_step_on_threads, run, threads)
+    if len(chunks) == 1:
+        return worker(seeds)
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        return [rec for part in pool.map(worker, chunks) for rec in part]
 
 
 def _run_or_stop(run: Callable[..., list], stop: threading.Event, part: list) -> list:
@@ -415,8 +415,8 @@ def _run_or_stop(run: Callable[..., list], stop: threading.Event, part: list) ->
 def _step_on_threads(run: Callable[..., list], threads: int, seeds: list) -> list:
     """``run`` on ``threads`` contiguous sub-chunks of the seeds, in seed order.
 
-    OpenBLAS runs on one thread, as in pool workers, so a shot rounds alike
-    however the seeds are split.  The calling thread steps the first
+    OpenBLAS runs on one thread, in this process and in pool workers alike,
+    so a shot rounds alike however the seeds are split.  The calling thread steps the first
     sub-chunk and one helper thread each of the others.  When a sub-chunk
     raises, or the calling thread is interrupted, the other threads stop at
     their next step, and the exception propagates once every thread has
@@ -440,19 +440,6 @@ def _step_on_threads(run: Callable[..., list], threads: int, seeds: list) -> lis
         if f.exception() is not None and not isinstance(f.exception(), Stopped):
             raise f.exception()
     return first + [rec for f in rest for rec in f.result()]
-
-
-def map_shots(worker: Callable, jobs: list, parallelism: int) -> list:
-    """``worker`` over the jobs, in order; in one-BLAS-thread workers when parallelism > 1."""
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    if not jobs:
-        raise ValueError("seeds must be non-empty")
-    if parallelism == 1 or len(jobs) == 1:
-        return [worker(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=min(parallelism, len(jobs)),
-                             initializer=_one_blas_thread) as pool:
-        return list(pool.map(worker, jobs))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,10 +68,6 @@ class QuditState:
         if abs(nrm2 - 1.0) > NORM_ATOL:
             raise ValueError(f"state is not normalized: |psi|^2 = {nrm2!r}")
         amps.setflags(write=False)
-
-    @property
-    def num_sites(self) -> int:
-        return len(self.dims)
 
 
 @dataclass(frozen=True)
@@ -182,42 +178,19 @@ def reduced_density_vector(
     return t @ t.conj().T
 
 
-def _reduced_density_matrix(
-    mat: np.ndarray, sites: Sequence[int], keep: Sequence[int]
-) -> np.ndarray:
-    """Partial trace of a density matrix over the complement of ``keep``."""
-    sites = tuple(sites)
-    n = len(sites)
-    keep = list(keep)
-    rest = [i for i in range(n) if i not in keep]
-    # row/column multi-indices: axes 0..n-1 are rows, n..2n-1 columns
-    perm = keep + [n + i for i in keep] + rest + [n + i for i in rest]
-    dk = prod(sites[i] for i in keep)
-    dr = prod(sites[i] for i in rest) if rest else 1
-    t = mat.reshape(sites + sites).transpose(perm).reshape(dk, dk, dr, dr)
-    return np.einsum("ijkk->ij", t)
+def partial_trace(state: QuditState, keep: Sequence[int]) -> DensityMatrix:
+    """Reduced density matrix of a pure state on ``keep`` (ascending site indices).
 
-
-def partial_trace(state: Union[QuditState, DensityMatrix], keep: Sequence[int]) -> DensityMatrix:
-    """Reduced density matrix on ``keep`` (ascending site indices).
-
-    Accepts a pure state or a density matrix; kept sites retain their
-    original relative order.  Keeping every site returns the input density
-    matrix unchanged (exactly, with no numerical perturbation).
+    Kept sites retain their original relative order; keeping every site
+    gives the projector |psi><psi|.
     """
     keep = _check_keep(keep, len(state.dims))
-    sub_dims = Dims(tuple(state.dims.sites[i] for i in keep))
-    if isinstance(state, QuditState):
-        if len(keep) == len(state.dims):
-            return density_from_state(state)
-        rho = reduced_density_vector(state.amplitudes, state.dims.sites, keep)
-    else:
-        if len(keep) == len(state.dims):
-            return DensityMatrix(sub_dims, state.matrix)
-        rho = _reduced_density_matrix(state.matrix, state.dims.sites, keep)
+    if len(keep) == len(state.dims):
+        return density_from_state(state)
+    rho = reduced_density_vector(state.amplitudes, state.dims.sites, keep)
     # enforce exact Hermiticity against accumulated roundoff
     rho = 0.5 * (rho + rho.conj().T)
-    return DensityMatrix(sub_dims, rho)
+    return DensityMatrix(Dims(tuple(state.dims.sites[i] for i in keep)), rho)
 
 
 def permute_and_group(psi: QuditState, groups: Iterable[Sequence[int]]) -> QuditState:

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from entgap.entropy import (
+    DEFAULT_ENTROPY,
     EntropyConfig,
     entropy_from_spectrum,
     hermitian_spectrum,
     max_tmi,
     mutual_info,
     pure_tmi_terms,
-    renyi,
     tmi,
     von_neumann,
 )
@@ -69,12 +69,13 @@ def test_spectrum_recovers_constructed_eigenvalues(rng):
 
 
 def test_spectrum_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        hermitian_spectrum(np.array([[0.5, 0.3], [0.0, 0.5]]))
-    with pytest.raises(ValueError):
-        hermitian_spectrum(np.diag([1.2, -0.2]))
-    with pytest.raises(ValueError):
-        hermitian_spectrum(np.diag([0.4, 0.4]))
+    # DensityMatrix holds Hermiticity and unit trace; the spectrum checks positivity
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_spectrum(dm([[0.5, 0.3], [0.0, 0.5]], (2,)))
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        hermitian_spectrum(dm([1.2, -0.2], (2,)))
+    with pytest.raises(ValueError, match="trace"):
+        hermitian_spectrum(dm([0.4, 0.4], (2,)))
 
 
 def test_entropy_config_validation():
@@ -100,6 +101,10 @@ def test_von_neumann_maximally_mixed():
     for d in (2, 3, 6):
         rho = dm(np.full(d, 1.0 / d), (d,))
         assert abs(von_neumann(rho) - math.log(d)) < 1e-12
+
+
+def renyi(rho: DensityMatrix, q: float) -> float:
+    return entropy_from_spectrum(hermitian_spectrum(rho), q, DEFAULT_ENTROPY)
 
 
 def test_renyi_flat_spectrum_any_q():
@@ -130,6 +135,12 @@ def test_renyi_rejects_nonpositive_q():
         renyi(rho, 0.0)
     with pytest.raises(ValueError):
         renyi(rho, -1.0)
+
+
+@pytest.mark.parametrize("q", [math.nan, math.inf])
+def test_renyi_rejects_nonfinite_q(q):
+    with pytest.raises(ValueError, match="finite"):
+        renyi(dm([0.5, 0.5], (2,)), q)
 
 
 def test_renyi_nonincreasing_in_q(rng):

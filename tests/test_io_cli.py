@@ -12,10 +12,7 @@ from entgap.io import (
     emit_reports,
     fmt12,
     parse_state_file,
-    read_curve_csv,
     read_shots_jsonl,
-    read_sweep_csv,
-    read_tmi_csv,
     shot_from_dict,
     shot_to_dict,
     verify_state_file,
@@ -121,6 +118,26 @@ def test_state_file_with_bad_amplitudes_is_an_input_error(tmp_path, capsys, argv
     assert main([a.format(path=path, out=tmp_path / "out") for a in argv]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("expected", [
+    {"gap": None},
+    {"gap": [1]},
+    {"gap": "x"},
+    {"gap": True},
+    {"s_r": math.nan},
+    {"s_aap": math.inf},
+    {"gap": -1.0, "tol_gap": None},
+    {"gap": -1.0, "tol_gap": -math.inf},
+    {"gap": -1.0, "tol_s_r": -0.5},
+], ids=["null", "list", "string", "bool", "nan", "inf", "tol-null", "tol-inf", "tol-negative"])
+def test_verify_malformed_expected_block_is_an_input_error(tmp_path, capsys, expected):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({**VALID_STATE, "expected": {"log_base": "2", **expected}}))
+    with pytest.raises(StateFileError, match="must be a finite number"):
+        parse_state_file(path)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: expected field")
 
 
 def test_verify_rejects_large_norm_deviation(tmp_path):
@@ -236,24 +253,25 @@ def test_failed_shot_round_trips_as_strict_json(tmp_path):
     assert back.failed and math.isinf(back.best_gap)
 
 
-def test_csv_round_trips(tmp_path):
-    sweep = [SweepRecord(q=0.5, min_gap=-0.25, argmin_state_id="s1"),
-             SweepRecord(q=1.0, min_gap=-0.001, argmin_state_id="s0")]
-    p = tmp_path / "sweep.csv"
-    emit_reports(sweep, "sweep_csv", p, command="test")
-    back = read_sweep_csv(p)
-    assert [(r.q, r.min_gap, r.argmin_state_id) for r in back] == [
-        (0.5, -0.25, "s1"), (1.0, -0.001, "s0")]
+def read_csv(path) -> np.ndarray:
+    """The rows of a numeric CSV report, its header skipped."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
-    curve = [(1.0, -0.002), (0.5, -0.1)]
-    p = tmp_path / "curve.csv"
-    emit_reports(curve, "curve_csv", p)
-    assert read_curve_csv(p) == [(0.5, -0.1), (1.0, -0.002)]
 
-    tmi_rows = [(1, -0.002, 0.05), (0, -0.001, -0.01)]
-    p = tmp_path / "tmi.csv"
-    emit_reports(tmi_rows, "tmi_csv", p)
-    assert read_tmi_csv(p) == [(0, -0.001, -0.01), (1, -0.002, 0.05)]
+def test_csv_writers_golden_bytes(tmp_path):
+    # rows sorted on their first column, numbers at 12 significant digits, csv's CRLF line ends
+    sweep = [SweepRecord(q=1.0, min_gap=-0.00123456789012345, argmin_state_id="q1/seed0"),
+             SweepRecord(q=1 / 3, min_gap=-0.25, argmin_state_id="s1")]
+    emit_reports(sweep, "sweep_csv", tmp_path / "sweep.csv", command="test")
+    assert (tmp_path / "sweep.csv").read_bytes() == (
+        b"q,min_gap,state_id\r\n0.333333333333,-0.25,s1\r\n1,-0.00123456789012,q1/seed0\r\n")
+
+    emit_reports([(1.0, -0.002), (0.5, 2 / 3)], "curve_csv", tmp_path / "curve.csv")
+    assert (tmp_path / "curve.csv").read_bytes() == b"q,gap\r\n0.5,0.666666666667\r\n1,-0.002\r\n"
+
+    emit_reports([(1, -0.002, 0.05), (0, -1e-13, -0.01)], "tmi_csv", tmp_path / "tmi.csv")
+    assert (tmp_path / "tmi.csv").read_bytes() == (
+        b"seed,gap,max_i3\r\n0,-1e-13,-0.01\r\n1,-0.002,0.05\r\n")
 
 
 def test_emit_reports_writes_manifest(tmp_path):
@@ -298,7 +316,7 @@ def test_cli_optimize_and_tmi_flow(tmp_path):
 
     rc = main(["tmi", "--shots", str(shots), "--out", str(out)])
     assert rc == 0
-    rows = read_tmi_csv(out / "tmi.csv")
+    rows = read_csv(out / "tmi.csv")
     assert len(rows) == 1
     assert rows[0][2] < 0.0  # found states carry negative Max(I3)
 
@@ -331,7 +349,7 @@ def test_cli_tmi_filters_on_the_rebuilt_gap(tmp_path):
     for base, div in (("e", 1.0), ("2", math.log(2.0))):
         out = tmp_path / base
         assert main(["tmi", "--shots", str(shots), "--log-base", base, "--out", str(out)]) == 0
-        rows = read_tmi_csv(out / "tmi.csv")
+        rows = read_csv(out / "tmi.csv")
         assert [r[0] for r in rows] == [3]
         assert abs(rows[0][1] - want / div) < 1e-12
         assert rows[0][2] < 0.0
@@ -387,7 +405,7 @@ def test_cli_curve_from_fixture(tmp_path):
     rc = main(["curve", "--state", str(fixture_path("violation_3322.json")),
                "--q-grid", "0.9:1.1:0.05", "--out", str(out)])
     assert rc == 0
-    pts = dict(read_curve_csv(out / "curve.csv"))
+    pts = dict(read_csv(out / "curve.csv"))
     assert pts[1.0] < 0.0
     assert len(pts) == 5
 
@@ -405,7 +423,7 @@ def test_cli_curve_from_shots_skips_failed_shots(tmp_path, capsys):
     grid = ["--q-grid", "0.5:1.5:0.5"]
     assert main(["curve", "--shots", str(shots), "--out", str(tmp_path)] + grid) == 0
     want = gap(state_from_record(finished), finished.partition, 1.0)
-    assert dict(read_curve_csv(tmp_path / "curve.csv"))[1.0] == pytest.approx(want, abs=1e-11)
+    assert dict(read_csv(tmp_path / "curve.csv"))[1.0] == pytest.approx(want, abs=1e-11)
     rc = main(["curve", "--shots", str(shots), "--seed", "0", "--out", str(tmp_path / "s0")] + grid)
     assert rc == 2
     assert "seed 0 failed: FloatingPointError: objective is not finite: nan" in capsys.readouterr().err
@@ -415,6 +433,30 @@ def test_cli_curve_from_shots_skips_failed_shots(tmp_path, capsys):
 def test_cli_bound_check_passes():
     assert main(["bound-check", "--dims", "2,2,2,2", "--samples", "50"]) == 0
     assert main(["bound-check", "--dims", "2,2,2,2", "--q", "1.5"]) == 2
+
+
+@pytest.mark.parametrize("q", ["nan", "inf"])
+def test_cli_bound_check_rejects_nonfinite_q(q, capsys):
+    # nan < 2 is false, and min(inf, nan) is inf: unchecked, nan read as a pass
+    assert main(["bound-check", "--dims", "2,2,2,2", "--q", q, "--samples", "2"]) == 2
+    assert "min gap" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--dims", "2,2,2,2", "--lr", "nan"],
+    ["optimize", "--dims", "2,2,2,2", "--lr", "inf"],
+    ["optimize", "--dims", "2,2,2,2", "--q", "nan"],
+    ["optimize", "--dims", "2,2,2,2", "--q", "inf"],
+    ["optimize", "--dims", "2,2,2,2", "--penalty", "--penalty-weight", "nan"],
+    ["optimize", "--dims", "2,2,2,2", "--penalty", "--penalty-weight", "inf"],
+    ["sweep", "--dims", "2,2,2,2", "--train-q", "nan"],
+    ["mera", "--qubits", "8", "--q", "nan"],
+    ["mera", "--qubits", "8", "--lr", "inf"],
+])
+def test_cli_rejects_nonfinite_numeric_options(tmp_path, capsys, argv):
+    assert main(argv + ["--seeds", "1", "--steps", "2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "shots.jsonl").exists()
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -442,4 +484,4 @@ def test_cli_mera_smoke(tmp_path):
                "--out", str(out)])
     assert rc == 0
     want = gap(state_from_record(recs[0]), recs[0].partition, 1.0)
-    assert dict(read_curve_csv(out / "curve.csv"))[1.0] == pytest.approx(want, abs=1e-11)
+    assert dict(read_csv(out / "curve.csv"))[1.0] == pytest.approx(want, abs=1e-11)

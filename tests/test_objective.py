@@ -10,15 +10,13 @@ from entgap.objective import (
     _entropy_grad_diag,
     _StateObjective,
     _generator,
+    _unitaries,
     gap,
-    objective_gradient,
-    objective_value,
     objective_value_and_gradient,
     penalized_gap,
     stacked_value_and_gradient,
     state_from_params,
     two_party_density,
-    unitary_from_params,
 )
 from entgap.reflect import reflected_entropy
 from entgap.states import Dims, QuditState, default_partition, equal_superposition, partial_trace
@@ -39,6 +37,14 @@ def random_params(d: int, rng) -> UTParams:
     n = UTParams.num_entries(d)
     raw = rng.standard_normal(2 * n)
     return UTParams(d, (raw[0::2] + 1j * raw[1::2]) / np.sqrt(2.0 * d))
+
+
+def objective_value(p: UTParams, cfg: ObjectiveConfig) -> float:
+    return objective_value_and_gradient(p, cfg, want_grad=False)[0]
+
+
+def unitary(p: UTParams) -> np.ndarray:
+    return _unitaries(p.entries.view(np.float64), p.d)[0]
 
 
 def fd_gradient(p: UTParams, cfg: ObjectiveConfig, h: float = 1e-5) -> np.ndarray:
@@ -73,19 +79,19 @@ def richardson_slope(f, h: float = 1e-3) -> float:
 
 def test_unitary_zero_params_is_identity():
     p = UTParams(4, np.zeros(10))
-    assert np.max(np.abs(unitary_from_params(p) - np.eye(4))) < 1e-14
+    assert np.max(np.abs(unitary(p) - np.eye(4))) < 1e-14
 
 
 def test_unitary_two_level_rotation():
     theta = 0.4
     p = UTParams(2, np.array([0.0, theta, 0.0], dtype=complex))
     want = np.array([[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]])
-    assert np.max(np.abs(unitary_from_params(p) - want)) < 1e-12
+    assert np.max(np.abs(unitary(p) - want)) < 1e-12
 
 
 def test_unitary_is_unitary_d36(rng):
     p = random_params(36, rng)
-    u = unitary_from_params(p)
+    u = unitary(p)
     assert np.max(np.abs(u @ u.conj().T - np.eye(36))) < 1e-10
 
 
@@ -202,7 +208,7 @@ def test_gradient_matches_fd_small_dims(rng):
     cfg = ObjectiveConfig(dims, default_partition(dims), q=1.0)
     for _ in range(3):
         p = random_params(16, rng)
-        g = objective_gradient(p, cfg)
+        g = objective_value_and_gradient(p, cfg)[1]
         assert grad_close(g, fd_gradient(p, cfg))
 
 
@@ -211,7 +217,7 @@ def test_gradient_matches_fd_3322(rng, q):
     dims = Dims((3, 3, 2, 2))
     cfg = ObjectiveConfig(dims, default_partition(dims), q=q)
     p = random_params(36, rng)
-    g = objective_gradient(p, cfg)
+    g = objective_value_and_gradient(p, cfg)[1]
     assert grad_close(g, fd_gradient(p, cfg))
 
 
@@ -235,7 +241,7 @@ def test_gradient_zero_along_flat_directions(rng):
     # real diagonal entries of M cancel in M - M^dag: exactly zero gradient
     dims = Dims((2, 2, 2, 2))
     cfg = ObjectiveConfig(dims, default_partition(dims), q=1.0)
-    g = objective_gradient(random_params(16, rng), cfg)
+    g = objective_value_and_gradient(random_params(16, rng), cfg)[1]
     rows, cols = np.triu_indices(16)
     diag_re = 2 * np.flatnonzero(rows == cols)
     assert np.all(g[diag_re] == 0.0)
@@ -244,7 +250,7 @@ def test_gradient_zero_along_flat_directions(rng):
 def test_gradient_vector_length(rng):
     dims = Dims((2, 2, 2, 2))
     cfg = ObjectiveConfig(dims, default_partition(dims))
-    g = objective_gradient(random_params(16, rng), cfg)
+    g = objective_value_and_gradient(random_params(16, rng), cfg)[1]
     assert g.shape == (16 * 17,)
 
 
@@ -411,3 +417,8 @@ def test_params_validation():
         ObjectiveConfig(dims, default_partition(dims), q=0.0)
     with pytest.raises(ValueError):
         ObjectiveConfig(dims, default_partition(dims), penalty_weight=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ObjectiveConfig(dims, default_partition(dims), q=bad)
+        with pytest.raises(ValueError, match="finite"):
+            ObjectiveConfig(dims, default_partition(dims), penalty_weight=bad)

@@ -18,7 +18,7 @@ from entgap.optimize import (
     adam_step,
     blas_threads,
     derive_seeds,
-    map_shots,
+    map_chunks,
     run_batch,
     run_shot,
     state_from_record,
@@ -62,6 +62,13 @@ def test_adam_minimizes_quadratic():
 def test_adam_validation():
     with pytest.raises(ValueError):
         AdamConfig(beta1=1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            AdamConfig(learning_rate=bad)
+        with pytest.raises(ValueError, match="finite"):
+            AdamConfig(epsilon=bad)
+    with pytest.raises(ValueError):
+        AdamConfig(beta2=math.nan)
     with pytest.raises(ValueError):
         AdamConfig(steps=0)
     with pytest.raises(ValueError):
@@ -140,15 +147,19 @@ def test_run_batch_parallelism_invariant():
 OPENBLAS = sorted(Path(np.__file__).parent.with_name("numpy.libs").glob("libscipy_openblas64_*.so"))
 
 
-def _openblas_threads(_job=None) -> int:
+def _openblas_threads() -> int:
     return ctypes.CDLL(str(OPENBLAS[0])).scipy_openblas_get_num_threads64_()
+
+
+def _openblas_threads_per_seed(seeds: list) -> list:
+    return [_openblas_threads() for _ in seeds]
 
 
 @pytest.mark.skipif(not OPENBLAS, reason="numpy does not bundle scipy-openblas")
 def test_shot_workers_run_one_blas_thread():
     before = _openblas_threads()
     assert blas_threads() == before  # what every manifest records
-    assert map_shots(_openblas_threads, [0, 1], parallelism=2) == [1, 1]
+    assert map_chunks(_openblas_threads_per_seed, [0, 1], parallelism=2, threads=1) == [1, 1]
     assert _openblas_threads() == before  # the calling process keeps its threads
 
 
