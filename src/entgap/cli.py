@@ -54,7 +54,7 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}, expected start:stop:step")
-    if step <= 0 or stop < start:
+    if not np.isfinite([start, stop, step]).all() or step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}")
     n = int(round((stop - start) / step))
     grid = [round(start + i * step, 12) for i in range(n + 1)]
@@ -263,6 +263,9 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_tmi(args) -> int:
+    if not np.isfinite(args.threshold):  # no gap is <= nan: it would read as "no shots", exit 1
+        print(f"error: --threshold must be finite, got {args.threshold}", file=sys.stderr)
+        return 2
     ecfg = EntropyConfig(log_base=args.log_base)
     records = read_shots_jsonl(args.shots)
     rows = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -133,7 +134,8 @@ def tmi(
     )
 
 
-def pure_tmi_terms(dims: Dims, partition: PartitionSpec) -> list[tuple[tuple[int, ...], float]]:
+@lru_cache(maxsize=64)
+def pure_tmi_terms(dims: Dims, partition: PartitionSpec) -> tuple[tuple[tuple[int, ...], float], ...]:
     """Kept sites and sign of each term of S_A+S_B+S_A'+S_B'-S_AB-S_AB'-S_AA', AA' last.
 
     On a pure state S(X) = S(complement of X), so this sum is the I3 of all four
@@ -145,7 +147,7 @@ def pure_tmi_terms(dims: Dims, partition: PartitionSpec) -> list[tuple[tuple[int
         rest = tuple(i for i in range(len(dims)) if i not in region)
         smaller = math.prod(dims.sites[i] for i in rest) < math.prod(dims.sites[i] for i in region)
         terms.append((tuple(sorted(rest if smaller else region)), float(sign)))
-    return terms
+    return tuple(terms)
 
 
 def max_tmi(

@@ -20,10 +20,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import __version__
-from .entropy import EntropyConfig, entropy_from_spectrum, max_tmi
+from .entropy import EntropyConfig, entropy_from_spectrum, pure_tmi_terms, von_neumann
 from .objective import GapProfile, ObjectiveConfig, _cached_state_objective
 from .optimize import ShotRecord, SweepRecord, blas_threads
-from .states import Dims, PartitionSpec, QuditState
+from .states import Dims, PartitionSpec, QuditState, partial_trace
 
 PARTY_KEYS = ("A", "B", "Ap", "Bp")
 
@@ -218,19 +218,27 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def _state_values(psi: QuditState, partition: PartitionSpec, config: EntropyConfig) -> dict:
-    """Reference-path values at q = 1, and how far the search kernel's gap lies from them."""
-    profile = GapProfile(psi, partition, config)
-    g = profile.gap_at(1.0)
-    kernel = _cached_state_objective(ObjectiveConfig(psi.dims, partition, entropy=config))
-    kernel_gap, _, _ = kernel(psi.amplitudes, want_grad=False)
-    return {
-        "s_aap": profile.s_aap,
-        "s_r": entropy_from_spectrum(profile.spectrum, 1.0, config),
-        "gap": g,
-        "max_i3": max_tmi(psi, partition, config),
-        "identity_error": abs(g - kernel_gap),
-    }
+def _state_values(psi: QuditState, partition: PartitionSpec) -> list[dict]:
+    """Reference-path values and kernel gap error at q = 1, in nats, then in bits.
+
+    Each spectrum is computed once, in nats.  A bits value divides each entropy by
+    ln 2 before combining them, so it equals an evaluation in bits bit for bit.
+    """
+    nats = EntropyConfig(log_base="e")
+    profile = GapProfile(psi, partition, nats)
+    s_r = entropy_from_spectrum(profile.spectrum, 1.0, nats)
+    kernel = _cached_state_objective(ObjectiveConfig(psi.dims, partition, entropy=nats))
+    extras = kernel(psi.amplitudes, want_grad=False)[2]
+    i3_terms = [(sign, von_neumann(partial_trace(psi, keep), nats))
+                for keep, sign in pure_tmi_terms(psi.dims, partition)]
+    out = []
+    for div in (nats.log_divisor, EntropyConfig(log_base="2").log_divisor):
+        g = profile.s_aap / div - 0.5 * (s_r / div)
+        kernel_gap = extras["s_aap"] / div - 0.5 * (extras["s_reflected"] / div)
+        out.append({"s_aap": profile.s_aap / div, "s_r": s_r / div, "gap": g,
+                    "max_i3": sum(sign * (s / div) for sign, s in i3_terms),
+                    "identity_error": abs(g - kernel_gap)})
+    return out
 
 
 def verify_state_file(path: Union[str, Path]) -> VerifyReport:
@@ -244,8 +252,7 @@ def verify_state_file(path: Union[str, Path]) -> VerifyReport:
     parsed = parse_state_file(path)
     psi = parsed.state()
 
-    nats = _state_values(psi, parsed.partition, EntropyConfig(log_base="e"))
-    bits = _state_values(psi, parsed.partition, EntropyConfig(log_base="2"))
+    nats, bits = _state_values(psi, parsed.partition)
     identity_error = max(nats["identity_error"], bits["identity_error"])
 
     expected = parsed.expected

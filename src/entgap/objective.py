@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .entropy import CLIP_EPS, DEFAULT_ENTROPY, EntropyConfig, clipped_eigenvalues, max_tmi
-from .entropy import entropy_from_spectrum, pure_tmi_terms, von_neumann
+from .entropy import pure_tmi_terms, von_neumann
 from .reflect import reflected_spectrum
 from .states import (
     DensityMatrix,
@@ -165,10 +165,10 @@ def two_party_density(psi: QuditState, partition: PartitionSpec) -> DensityMatri
 
 
 class GapProfile:
-    """The gap of one state at any q, on the ``DensityMatrix`` reference path.
+    """The gap of one state on a q-grid, on the ``DensityMatrix`` reference path.
 
-    S(AA') and the reflected spectrum do not depend on q, so ``gap_at(q)`` is a
-    Renyi sum.  Its partial traces, square root and spectra are computed apart
+    S(AA') and the reflected spectrum do not depend on q, so each grid point is
+    a Renyi sum.  Its partial traces, square root and spectra are computed apart
     from the search kernel ``_StateObjective``, which ``verify`` checks against it.
     """
 
@@ -179,8 +179,22 @@ class GapProfile:
         self.spectrum = reflected_spectrum(two_party_density(psi, partition))
         self.config = config
 
-    def gap_at(self, q: float) -> float:
-        return self.s_aap - 0.5 * entropy_from_spectrum(self.spectrum, float(q), self.config)
+    def gaps(self, q_grid: Sequence[float]) -> np.ndarray:
+        """The gap at each q, bit for bit what ``entropy_from_spectrum`` gives one q at a time.
+
+        numpy raises to a scalar 0.5 or 2.0 with ``sqrt`` or ``square``, so those rows do too.
+        """
+        qs = np.asarray(q_grid, dtype=np.float64)
+        bad = ~(np.isfinite(qs) & (qs > 0.0))
+        if bad.any():
+            raise ValueError(f"Renyi index must be positive and finite, got {float(qs[bad][0])!r}")
+        pos = self.spectrum[self.spectrum > 0.0]  # never empty: the spectrum sums to 1
+        powers = pos ** qs[:, None]
+        powers[qs == 0.5] = np.sqrt(pos)
+        powers[qs == 2.0] = np.square(pos)
+        s_r = np.log(powers.sum(axis=-1)) / np.where(qs == 1.0, 1.0, 1.0 - qs)
+        s_r[qs == 1.0] = -np.sum(pos * np.log(pos))
+        return self.s_aap - 0.5 * (s_r / self.config.log_divisor)
 
 
 def gap(
@@ -191,9 +205,9 @@ def gap(
 ) -> float:
     """S(AA') minus half the q-Renyi reflected entropy of rho_AB, on the reference path.
 
-    To evaluate one state at many q, build its :class:`GapProfile` once instead.
+    To evaluate one state at many q, use :meth:`GapProfile.gaps` instead.
     """
-    return GapProfile(psi, partition, config).gap_at(q)
+    return float(GapProfile(psi, partition, config).gaps([q])[0])
 
 
 def penalized_gap(

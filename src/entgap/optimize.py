@@ -453,8 +453,8 @@ def state_gap_curve(
     config: EntropyConfig = EntropyConfig(),
 ) -> list[tuple[float, float]]:
     """The gap of a single state at each q on the grid (no minimization)."""
-    prof = GapProfile(state, partition, config)
-    return [(float(q), prof.gap_at(q)) for q in q_grid]
+    gaps = GapProfile(state, partition, config).gaps(q_grid)
+    return [(float(q), g) for q, g in zip(q_grid, gaps.tolist())]
 
 
 def sweep_min_gap(
@@ -471,13 +471,12 @@ def sweep_min_gap(
         ids = [f"state{i}" for i in range(len(states))]
     if len(ids) != len(states):
         raise ValueError("ids must match states")
-    profiles = [GapProfile(s, partition, config) for s in states]
-    out = []
-    for q in q_grid:
-        gaps = [prof.gap_at(q) for prof in profiles]
-        k = int(np.argmin(gaps))
-        out.append(SweepRecord(q=float(q), min_gap=float(gaps[k]), argmin_state_id=str(ids[k])))
-    return out
+    gaps = np.array([GapProfile(s, partition, config).gaps(q_grid) for s in states])
+    first = gaps.argmin(axis=0)  # the first state attaining each minimum
+    return [
+        SweepRecord(q=float(q), min_gap=float(gaps[k, j]), argmin_state_id=str(ids[k]))
+        for j, (q, k) in enumerate(zip(q_grid, first))
+    ]
 
 
 def state_from_record(record: ShotRecord) -> QuditState:

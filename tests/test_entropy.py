@@ -309,8 +309,8 @@ def test_pure_state_max_tmi_matches_four_triple_oracle(rng, sites, part):
 def test_pure_tmi_terms_take_the_smaller_side():
     # S_AB is taken on A'B' at 3,3,2,2; ties keep the region itself
     terms = pure_tmi_terms(Dims((3, 3, 2, 2)), default_partition(Dims((3, 3, 2, 2))))
-    assert terms == [((0,), 1.0), ((1,), 1.0), ((2,), 1.0), ((3,), 1.0),
-                     ((2, 3), -1.0), ((0, 3), -1.0), ((0, 2), -1.0)]
+    assert terms == (((0,), 1.0), ((1,), 1.0), ((2,), 1.0), ((3,), 1.0),
+                     ((2, 3), -1.0), ((0, 3), -1.0), ((0, 2), -1.0))
     # S_AA' (16x16) is taken on BB' (4x4) for two-qubit A and A'
     terms = pure_tmi_terms(Dims((2,) * 6), QUBITS6_SPLIT)
     assert terms[-1] == ((2, 5), -1.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entgap.cli import main
+from entgap.entropy import EntropyConfig, entropy_from_spectrum, max_tmi
 from entgap.io import (
     ShotLogError,
     StateFileError,
@@ -19,7 +20,7 @@ from entgap.io import (
     write_shots_jsonl,
     write_state_file,
 )
-from entgap.objective import ObjectiveConfig, UTParams, gap
+from entgap.objective import GapProfile, ObjectiveConfig, UTParams, _cached_state_objective, gap
 from entgap.optimize import (
     AdamConfig,
     ShotRecord,
@@ -161,6 +162,36 @@ def test_verify_bundled_fixtures_pass():
         assert report.matched_base == "2"
         assert report.identity_error <= 1e-12
         assert main(["verify", str(fixture_path(name))]) == 0
+
+
+def _independent_values(psi, part, config):
+    """verify's values and kernel gap error, computed from scratch in one log base."""
+    prof = GapProfile(psi, part, config)
+    s_r = entropy_from_spectrum(prof.spectrum, 1.0, config)
+    g = prof.s_aap - 0.5 * s_r
+    kernel_gap = _cached_state_objective(ObjectiveConfig(psi.dims, part, entropy=config))(
+        psi.amplitudes, want_grad=False)[0]
+    values = {"s_aap": prof.s_aap, "s_r": s_r, "gap": g, "max_i3": max_tmi(psi, part, config)}
+    return values, abs(g - kernel_gap)
+
+
+@pytest.mark.parametrize("source", ["violation_3322.json", "violation_qubits6.json", "random"])
+def test_verify_bits_values_equal_a_bits_evaluation(tmp_path, rng, source):
+    # verify computes every spectrum once, in nats, and derives bits from it
+    if source == "random":
+        path = tmp_path / "state.json"
+        psi = random_state(Dims((3, 3, 2, 2)), rng)
+        write_state_file(path, psi, default_partition(psi.dims))
+    else:
+        path = fixture_path(source)
+    parsed = parse_state_file(path)
+    psi, part = parsed.state(), parsed.partition
+    nats, nats_err = _independent_values(psi, part, EntropyConfig(log_base="e"))
+    bits, bits_err = _independent_values(psi, part, EntropyConfig(log_base="2"))
+    report = verify_state_file(path)
+    assert report.values_nats == nats
+    assert report.values_bits == bits
+    assert report.identity_error == max(nats_err, bits_err)
 
 
 def test_verify_fails_when_reference_drifts_from_kernel(monkeypatch, capsys):
@@ -457,6 +488,30 @@ def test_cli_rejects_nonfinite_numeric_options(tmp_path, capsys, argv):
     assert main(argv + ["--seeds", "1", "--steps", "2", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "shots.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["curve", "sweep"])
+@pytest.mark.parametrize("grid", ["0.1:inf:0.1", "0.1:1:inf", "-inf:1:0.1", "nan:1:0.1",
+                                  "0.1:nan:0.1", "0.1:1:nan"])
+def test_cli_rejects_nonfinite_q_grid(tmp_path, capsys, command, grid):
+    # inf overflowed the point count and a nan step built the grid [nan]: exit 1, traceback
+    source = (["--state", str(fixture_path("violation_3322.json"))] if command == "curve"
+              else ["--dims", "2,2,2,2"])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *source, f"--q-grid={grid}", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"bad grid {grid!r}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_cli_tmi_rejects_nonfinite_threshold(tmp_path, capsys, threshold):
+    # nan compares false with every gap, so it read as "no shots with gap <= nan", exit 1
+    shots = tmp_path / "shots.jsonl"
+    write_shots_jsonl(small_records(steps=20), shots)
+    assert main(["tmi", "--shots", str(shots), f"--threshold={threshold}", "--out", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err.startswith("error: --threshold must be finite")
+    assert not (tmp_path / "t").exists()
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -1,5 +1,6 @@
 import ctypes
 import math
+import re
 import sys
 import threading
 from functools import partial
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entgap.entropy import EntropyConfig
+from entgap.entropy import EntropyConfig, entropy_from_spectrum
 from entgap.io import shot_to_dict
 from entgap.objective import ObjectiveConfig, UTParams, gap
 from entgap.optimize import (
@@ -529,9 +530,73 @@ def test_run_batch_rejects_empty():
 def test_gap_profile_matches_direct_gap(rng):
     psi = random_state(Dims((3, 3, 2, 2)), rng)
     part = default_partition(psi.dims)
+    qs = (0.3, 0.9, 1.0, 1.3, 2.0)
+    assert GapProfile(psi, part, EntropyConfig()).gaps(qs).tolist() == [gap(psi, part, q) for q in qs]
+
+
+# the CLI's default grid, holding 0.5 and 1.0, plus 2.0 and points either side of 1
+GRID = [round(0.05 + i * 0.01, 12) for i in range(116)] + [1.0 - 1e-3, 1.0 + 1e-3, 2.0, 2.5, 4.0]
+
+
+def per_q_gaps(prof: GapProfile, qs) -> list[float]:
+    """The oracle: one entropy_from_spectrum call per q, as the single-q path evaluated it."""
+    return [prof.s_aap - 0.5 * entropy_from_spectrum(prof.spectrum, q, prof.config) for q in qs]
+
+
+@pytest.mark.parametrize("log_base", ["e", "2"])
+@pytest.mark.parametrize("dims_t", [(2, 2, 2, 2), (3, 3, 2, 2), (4, 4, 2, 2), (3, 3, 3, 3)])
+def test_gap_grid_equals_per_q_sums_bit_for_bit(rng, dims_t, log_base):
+    # a scalar exponent makes numpy take sqrt at 0.5 and square at 2.0, which
+    # round differently from pow: the grid must take them too
+    for _ in range(25):  # pow sums off the sqrt or square row for about one state in 20
+        psi = random_state(Dims(dims_t), rng)
+        prof = GapProfile(psi, default_partition(psi.dims), EntropyConfig(log_base))
+        assert prof.gaps(GRID).tolist() == per_q_gaps(prof, GRID)
+
+
+@pytest.mark.parametrize("log_base", ["e", "2"])
+def test_gap_grid_on_a_spectrum_with_exact_zeros(rng, log_base):
+    # AB times A'B': rho_AB is pure and rho_A has rank 2 of 4, so the reflected
+    # spectrum is the 4 products of rho_A's two eigenvalues and 12 exact zeros
+    dims = Dims((4, 2, 2, 2))
+    ab = random_state(Dims((4, 2)), rng).amplitudes
+    psi = QuditState(dims, np.kron(ab, np.eye(4)[0]))
+    prof = GapProfile(psi, default_partition(dims), EntropyConfig(log_base))
+    assert np.count_nonzero(prof.spectrum == 0.0) == 12
+    assert prof.gaps(GRID).tolist() == per_q_gaps(prof, GRID)
+    assert state_gap_curve(psi, GRID, default_partition(dims), prof.config) == list(
+        zip(GRID, per_q_gaps(prof, GRID)))
+
+
+def test_sweep_takes_the_first_of_tied_minima(rng):
+    part = default_partition(Dims((2, 2, 2, 2)))
+    a, b = (random_state(Dims((2, 2, 2, 2)), rng) for _ in range(2))
+    states, ids = [a, b, b, a], ["a1", "b1", "b2", "a2"]
+    sweep = sweep_min_gap(states, GRID, part, ids=ids)
+    rows = [per_q_gaps(GapProfile(s, part, EntropyConfig()), GRID) for s in states]
+    for j, rec in enumerate(sweep):
+        column = [row[j] for row in rows]
+        first = column.index(min(column))
+        assert (rec.q, rec.min_gap, rec.argmin_state_id) == (GRID[j], column[first], ids[first])
+    assert {rec.argmin_state_id for rec in sweep} <= {"a1", "b1"}
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf, -math.inf])
+def test_gap_grid_rejects_a_bad_q(rng, bad):
+    psi = random_state(Dims((2, 2, 2, 2)), rng)
+    part = default_partition(psi.dims)
     prof = GapProfile(psi, part, EntropyConfig())
-    for q in (0.3, 0.9, 1.0, 1.3, 2.0):
-        assert abs(prof.gap_at(q) - gap(psi, part, q)) < 1e-12
+    with pytest.raises(ValueError) as want:
+        entropy_from_spectrum(prof.spectrum, bad, prof.config)
+    message = f"^{re.escape(str(want.value))}$"
+    with pytest.raises(ValueError, match=message):
+        prof.gaps([0.5, bad, 2.0])
+    with pytest.raises(ValueError, match=message):
+        state_gap_curve(psi, [1.0, bad], part)
+    with pytest.raises(ValueError, match=message):
+        sweep_min_gap([psi, psi], [bad], part)
+    with pytest.raises(ValueError, match=message):
+        gap(psi, part, bad)
 
 
 def test_sweep_singleton_equals_own_curve(rng):
