@@ -5,8 +5,6 @@ from .entropy import (
     EntropyConfig,
     hermitian_spectrum,
     max_tmi,
-    mutual_info,
-    tmi,
     von_neumann,
 )
 from .reflect import canonical_purification, reflected_entropy, sqrt_density
@@ -16,7 +14,6 @@ from .states import (
     PartitionSpec,
     QuditState,
     default_partition,
-    density_from_state,
     equal_superposition,
     partial_trace,
     permute_and_group,
@@ -78,16 +75,13 @@ __all__ = [
     "QuditState",
     "canonical_purification",
     "default_partition",
-    "density_from_state",
     "equal_superposition",
     "hermitian_spectrum",
     "max_tmi",
-    "mutual_info",
     "partial_trace",
     "permute_and_group",
     "reflected_entropy",
     "sqrt_density",
-    "tmi",
     "von_neumann",
     "__version__",
 ]

@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .entropy import EntropyConfig, max_tmi
 from .io import (
-    StateFileError,
     emit_reports,
     parse_state_file,
     read_shots_jsonl,
@@ -39,6 +38,7 @@ from .optimize import (
 from .states import Dims, QuditState, default_partition
 
 DEFAULT_TRAIN_QS = (0.1, 0.5, 0.9, 0.99, 1.0, 1.02)
+MAX_GRID_POINTS = 100_000
 
 
 def _parse_dims(text: str) -> Dims:
@@ -56,7 +56,10 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}, expected start:stop:step")
     if not np.isfinite([start, stop, step]).all() or step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}")
-    n = int(round((stop - start) / step))
+    span = (stop - start) / step  # inf when stop - start overflows
+    if span >= MAX_GRID_POINTS or round(span) + 1 > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"bad grid {text!r}: more than {MAX_GRID_POINTS} points")
+    n = int(round(span))
     grid = [round(start + i * step, 12) for i in range(n + 1)]
     return [q for q in grid if q <= stop + step * 0.5]
 
@@ -343,10 +346,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except StateFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # StateFileError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

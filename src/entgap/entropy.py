@@ -1,4 +1,4 @@
-"""Spectra, von Neumann / Renyi entropies, and (tripartite) mutual information.
+"""Spectra, von Neumann / Renyi entropies, and the maximum tripartite information.
 
 All entropies are reported in the base selected by :class:`EntropyConfig`
 (natural log by default).  Eigenvalues with magnitude below ``CLIP_EPS``
@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
-
 import numpy as np
 
 from .states import DensityMatrix, Dims, PartitionSpec, QuditState, partial_trace
@@ -63,7 +61,7 @@ def hermitian_spectrum(rho: DensityMatrix) -> np.ndarray:
     Raises if they violate positivity beyond -1e-10; Hermiticity and unit
     trace are :class:`DensityMatrix` invariants.
     """
-    vals = np.linalg.eigvalsh(0.5 * (rho.matrix + rho.matrix.conj().T))
+    vals = np.linalg.eigvalsh(rho.matrix)
     out = clipped_eigenvalues(vals)[::-1].copy()
     out.setflags(write=False)
     return out
@@ -88,52 +86,6 @@ def von_neumann(rho: DensityMatrix, config: EntropyConfig = DEFAULT_ENTROPY) -> 
     return entropy_from_spectrum(hermitian_spectrum(rho), 1.0, config)
 
 
-def _marginal_entropy(
-    psi: QuditState, sites: Sequence[int], config: EntropyConfig
-) -> float:
-    return von_neumann(partial_trace(psi, sorted(sites)), config)
-
-
-def mutual_info(
-    psi: QuditState,
-    x_sites: Sequence[int],
-    y_sites: Sequence[int],
-    config: EntropyConfig = DEFAULT_ENTROPY,
-) -> float:
-    """Bipartite mutual information S(X) + S(Y) - S(XY) of a pure state."""
-    x, y = tuple(x_sites), tuple(y_sites)
-    if set(x) & set(y):
-        raise ValueError(f"regions overlap: {x} and {y}")
-    return (
-        _marginal_entropy(psi, x, config)
-        + _marginal_entropy(psi, y, config)
-        - _marginal_entropy(psi, x + y, config)
-    )
-
-
-def tmi(
-    psi: QuditState,
-    x_sites: Sequence[int],
-    y_sites: Sequence[int],
-    z_sites: Sequence[int],
-    config: EntropyConfig = DEFAULT_ENTROPY,
-) -> float:
-    """Tripartite mutual information I2(X:Y) + I2(Y:Z) - I2(Y:XZ).
-
-    Expanded, I3 = S_X + S_Y + S_Z - S_XY - S_XZ - S_YZ + S_XYZ.  In this
-    convention GHZ gives +ln 2 and monogamy of mutual information (MMI,
-    obeyed by holographic states) is I3 <= 0.
-    """
-    x, y, z = tuple(x_sites), tuple(y_sites), tuple(z_sites)
-    if set(x) & set(y) or set(y) & set(z) or set(x) & set(z):
-        raise ValueError(f"regions overlap: {x}, {y}, {z}")
-    return (
-        mutual_info(psi, x, y, config)
-        + mutual_info(psi, y, z, config)
-        - mutual_info(psi, y, x + z, config)
-    )
-
-
 @lru_cache(maxsize=64)
 def pure_tmi_terms(dims: Dims, partition: PartitionSpec) -> tuple[tuple[tuple[int, ...], float], ...]:
     """Kept sites and sign of each term of S_A+S_B+S_A'+S_B'-S_AB-S_AB'-S_AA', AA' last.
@@ -155,10 +107,10 @@ def max_tmi(
 ) -> float:
     """Maximum tripartite mutual information over the four 3-party subsets.
 
-    Uses the :func:`tmi` convention, I3 = S_X+S_Y+S_Z-S_XY-S_XZ-S_YZ+S_XYZ
-    (GHZ gives +ln 2), so the state satisfies MMI on every triple iff
-    ``max_tmi <= 0``.  The state is pure, so this is the one I3 of
-    :func:`pure_tmi_terms`; the four-way agreement of :func:`tmi` is a test oracle.
+    I3 = S_X+S_Y+S_Z-S_XY-S_XZ-S_YZ+S_XYZ, so GHZ gives +ln 2 and the state
+    satisfies monogamy of mutual information (MMI, obeyed by holographic
+    states) on every triple iff ``max_tmi <= 0``.  The state is pure, so the
+    four triples share the one I3 of :func:`pure_tmi_terms`.
     """
     partition.validate_for(psi.dims)
     return sum(

@@ -76,7 +76,6 @@ class ParsedStateFile:
     partition: PartitionSpec
     amplitudes: np.ndarray
     expected: Optional[dict]
-    description: str = ""
 
     @property
     def norm(self) -> float:
@@ -145,7 +144,6 @@ def parse_state_file(path: Union[str, Path]) -> ParsedStateFile:
         partition=partition,
         amplitudes=amps,
         expected=data.get("expected"),
-        description=data.get("description", ""),
     )
 
 

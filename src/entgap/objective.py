@@ -220,7 +220,7 @@ def penalized_gap(
     """gap plus weight * max(Max(I3), 0).
 
     The hinge penalizes MMI violation: it is zero on states with
-    Max(I3) <= 0 (see :func:`entgap.entropy.tmi` for the convention) and
+    Max(I3) <= 0 (see :func:`entgap.entropy.max_tmi` for the convention) and
     grows with the largest positive I3 otherwise.
     """
     return gap(psi, partition, q, config) + weight * max(max_tmi(psi, partition, config), 0.0)

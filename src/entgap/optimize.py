@@ -46,23 +46,21 @@ from .objective import (
 from .states import Dims, PartitionSpec, QuditState
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass(frozen=True)
 class AdamConfig:
-    """Standard first/second-moment bias-corrected descent hyperparameters."""
+    """Step size and step count of ADAM with the standard moments (ADAM_BETA1, ADAM_BETA2)."""
 
     learning_rate: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     steps: int = 5000
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
         if not (isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate!r}")
-        if not (isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(f"epsilon must be non-negative and finite, got {self.epsilon!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 
@@ -92,11 +90,11 @@ def adam_step(
         raise ValueError("parameter, gradient, and moment shapes disagree")
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError(NONFINITE_GRADIENT)
-    m = cfg.beta1 * moment_state.m + (1.0 - cfg.beta1) * grad
-    v = cfg.beta2 * moment_state.v + (1.0 - cfg.beta2) * grad * grad
-    m_hat = m / (1.0 - cfg.beta1**t)
-    v_hat = v / (1.0 - cfg.beta2**t)
-    new_params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+    m = ADAM_BETA1 * moment_state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * moment_state.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    new_params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return new_params, AdamState(m, v)
 
 

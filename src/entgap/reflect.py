@@ -26,8 +26,7 @@ def sqrt_density(rho: DensityMatrix) -> np.ndarray:
     rank-deficient inputs would otherwise leak sqrt(roundoff) ~ 1e-8 noise
     into every downstream amplitude.  Eigenvalues below -1e-10 raise.
     """
-    mat = 0.5 * (rho.matrix + rho.matrix.conj().T)
-    vals, vecs = np.linalg.eigh(mat)
+    vals, vecs = np.linalg.eigh(rho.matrix)
     x = (vecs * np.sqrt(clipped_eigenvalues(vals))) @ vecs.conj().T
     return 0.5 * (x + x.conj().T)
 

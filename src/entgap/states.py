@@ -74,27 +74,30 @@ class QuditState:
 class DensityMatrix:
     """Hermitian, unit-trace operator on a subset of sites.
 
-    Positive semidefiniteness (eigenvalues >= -1e-10) is an invariant of
-    well-formed inputs but is enforced where the matrix is actually
-    eigendecomposed (the entropy layer), not at construction, so that
-    partial traces stay cheap.
+    The input must be Hermitian within 1e-10; the stored matrix is its
+    Hermitian part (M + M^dag)/2, so every consumer sees an exactly Hermitian
+    matrix.  Positive semidefiniteness (eigenvalues >= -1e-10) is an
+    invariant of well-formed inputs but is enforced where the matrix is
+    actually eigendecomposed (the entropy layer), not at construction, so
+    that partial traces stay cheap.
     """
 
     dims: Dims
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=np.complex128).copy()
-        object.__setattr__(self, "matrix", mat)
+        mat = np.asarray(self.matrix, dtype=np.complex128)
         d = self.dims.total
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match dims {self.dims.sites}")
         if np.max(np.abs(mat - mat.conj().T)) > HERM_ATOL:
             raise ValueError("matrix is not Hermitian within 1e-10")
+        mat = 0.5 * (mat + mat.conj().T)
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace is {tr!r}, expected 1")
         mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
 
 
 @dataclass(frozen=True)
@@ -140,12 +143,6 @@ def equal_superposition(dims: Dims) -> QuditState:
     return QuditState(dims, np.full(d, 1.0 / np.sqrt(d), dtype=np.complex128))
 
 
-def density_from_state(psi: QuditState) -> DensityMatrix:
-    """Rank-1 projector |psi><psi|."""
-    amps = psi.amplitudes
-    return DensityMatrix(psi.dims, np.outer(amps, amps.conj()))
-
-
 def _check_keep(keep: Sequence[int], n_sites: int) -> tuple[int, ...]:
     keep = tuple(int(i) for i in keep)
     if len(keep) == 0:
@@ -185,11 +182,7 @@ def partial_trace(state: QuditState, keep: Sequence[int]) -> DensityMatrix:
     gives the projector |psi><psi|.
     """
     keep = _check_keep(keep, len(state.dims))
-    if len(keep) == len(state.dims):
-        return density_from_state(state)
     rho = reduced_density_vector(state.amplitudes, state.dims.sites, keep)
-    # enforce exact Hermiticity against accumulated roundoff
-    rho = 0.5 * (rho + rho.conj().T)
     return DensityMatrix(Dims(tuple(state.dims.sites[i] for i in keep)), rho)
 
 

@@ -65,6 +65,19 @@ def reference_partial_trace(amps: np.ndarray, sites, keep) -> np.ndarray:
     return rho
 
 
+def reference_tmi(psi: QuditState, x, y, z) -> float:
+    """S_X+S_Y+S_Z-S_XY-S_XZ-S_YZ+S_XYZ from loop traces and eigvalsh."""
+
+    def s(sites):
+        rho = reference_partial_trace(psi.amplitudes, psi.dims.sites, sorted(sites))
+        p = np.linalg.eigvalsh(rho)
+        p = p[p > 1e-12]
+        return float(-np.sum(p * np.log(p)))
+
+    x, y, z = tuple(x), tuple(y), tuple(z)
+    return s(x) + s(y) + s(z) - s(x + y) - s(x + z) - s(y + z) + s(x + y + z)
+
+
 def antihermitian_to_params(a: np.ndarray):
     """Packed upper-triangular M with M - M^dag == a (a must be anti-Hermitian)."""
     from entgap.objective import UTParams

@@ -6,8 +6,8 @@ minutes; every tolerance is pinned here, not in helper code.
 Criteria 6 and 9 assert the sign of the tripartite mutual information
 I3 = S_X+S_Y+S_Z-S_XY-S_XZ-S_YZ+S_XYZ, the convention in which monogamy
 of mutual information (MMI, obeyed by holographic states) reads I3 <= 0.
-An independent oracle (loop-based partial traces plus eigvalsh, in
-tests/test_entropy.py) gives GHZ4 +ln 2, the AME(4,3) perfect tensor
+An independent oracle (``reference_tmi``: loop-based partial traces plus
+eigvalsh, in tests/conftest.py) gives GHZ4 +ln 2, the AME(4,3) perfect tensor
 -2 ln 3, and both published counterexamples a negative I3 in all four
 triples (-0.019049 and -0.058336 nats).  The bound-violating states
 therefore satisfy MMI, and these criteria assert exactly that: found
@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from entgap.entropy import EntropyConfig, max_tmi, tmi, von_neumann
+from entgap.entropy import EntropyConfig, max_tmi, von_neumann
 from entgap.io import (
     emit_reports,
     read_shots_jsonl,
@@ -47,7 +47,7 @@ from entgap.optimize import (
 from entgap.reflect import canonical_purification, reflected_entropy
 from entgap.states import DensityMatrix, Dims, QuditState, default_partition, partial_trace
 
-from conftest import fixture_path, load_fixture_state, random_state
+from conftest import fixture_path, load_fixture_state, random_state, reference_tmi
 
 
 def crit(num: str, ok: bool, detail: str) -> None:
@@ -190,7 +190,7 @@ def test_criterion_6_found_states_have_positive_max_tmi(counterexample_records):
     """Every negative-gap state found here has Max(I3) < 0, as the references do.
 
     The name records the criterion's original claim, Max(I3) > 0.  In the
-    I3 <= 0 (MMI) convention of ``entgap.entropy.tmi`` that claim is
+    I3 <= 0 (MMI) convention of ``entgap.entropy.max_tmi`` that claim is
     refuted by the paper's own counterexamples: both bundled reference
     states have negative I3 in all four triples, confirmed by an
     independent oracle in tests/test_entropy.py.  The criterion asserts
@@ -222,7 +222,7 @@ def test_criterion_6_four_tmi_values_agree(counterexample_records):
     states += [random_state(SEARCH_DIMS, rng) for _ in range(50)]
     worst = 0.0
     for psi in states:
-        vals = [tmi(psi, *t) for t in combinations(
+        vals = [reference_tmi(psi, *t) for t in combinations(
             (part.a_sites, part.b_sites, part.ap_sites, part.bp_sites), 3)]
         worst = max(worst, max(vals) - min(vals))
     crit("6b", worst <= 1e-9,

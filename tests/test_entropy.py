@@ -10,9 +10,7 @@ from entgap.entropy import (
     entropy_from_spectrum,
     hermitian_spectrum,
     max_tmi,
-    mutual_info,
     pure_tmi_terms,
-    tmi,
     von_neumann,
 )
 from entgap.objective import (
@@ -35,7 +33,7 @@ from conftest import (
     ghz,
     load_fixture_state,
     random_state,
-    reference_partial_trace,
+    reference_tmi,
 )
 
 LN2 = math.log(2.0)
@@ -161,58 +159,6 @@ def test_renyi_range(rng):
             assert -1e-12 <= s <= math.log(4.0) + 1e-12
 
 
-def test_mutual_info_product_state(rng):
-    a = random_state(Dims((2,)), rng).amplitudes
-    b = random_state(Dims((3,)), rng).amplitudes
-    psi = QuditState(Dims((2, 3)), np.kron(a, b))
-    assert abs(mutual_info(psi, (0,), (1,))) < 1e-10
-
-
-def test_mutual_info_bell():
-    psi = QuditState(Dims((2, 2)), bell_pair())
-    assert abs(mutual_info(psi, (0,), (1,)) - 2.0 * LN2) < 1e-12
-
-
-def test_mutual_info_classical_correlations():
-    # purify rho_AB = (|00><00| + |11><11|)/2 with a third qubit
-    amps = np.zeros(8)
-    amps[0b000] = amps[0b111] = 1.0 / np.sqrt(2.0)
-    psi = QuditState(Dims((2, 2, 2)), amps)
-    assert abs(mutual_info(psi, (0,), (1,)) - LN2) < 1e-12
-
-
-def test_mutual_info_nonnegative(rng):
-    for _ in range(25):
-        psi = random_state(Dims((3, 3, 2, 2)), rng)
-        assert mutual_info(psi, (0, 2), (1,)) >= -1e-9
-
-
-def test_mutual_info_rejects_overlap(rng):
-    psi = random_state(Dims((2, 2, 2)), rng)
-    with pytest.raises(ValueError):
-        mutual_info(psi, (0, 1), (1, 2))
-
-
-def test_tmi_ghz():
-    psi = ghz(4)
-    for triple in combinations([(0,), (1,), (2,), (3,)], 3):
-        assert abs(tmi(psi, *triple) - LN2) < 1e-12
-
-
-def test_tmi_two_bell_pairs():
-    amps = np.kron(bell_pair(), bell_pair())
-    psi = QuditState(Dims((2, 2, 2, 2)), amps)
-    assert abs(tmi(psi, (0,), (1,), (2,))) < 1e-12
-
-
-def test_tmi_four_triples_agree(rng):
-    for dims_t in [(2, 2, 2, 2), (3, 3, 2, 2)]:
-        for _ in range(5):
-            psi = random_state(Dims(dims_t), rng)
-            vals = [tmi(psi, *t) for t in combinations([(0,), (1,), (2,), (3,)], 3)]
-            assert max(vals) - min(vals) < 1e-9
-
-
 def ame_4_3() -> QuditState:
     """The 4-qutrit perfect tensor sum_ij |i, j, i+j, i+2j> / 3 (mod 3).
 
@@ -224,19 +170,6 @@ def ame_4_3() -> QuditState:
         for j in range(3):
             amps[27 * i + 9 * j + 3 * ((i + j) % 3) + (i + 2 * j) % 3] = 1.0 / 3.0
     return QuditState(Dims((3, 3, 3, 3)), amps)
-
-
-def reference_tmi(psi: QuditState, x, y, z) -> float:
-    """S_X+S_Y+S_Z-S_XY-S_XZ-S_YZ+S_XYZ from loop traces and eigvalsh."""
-
-    def s(sites):
-        rho = reference_partial_trace(psi.amplitudes, psi.dims.sites, sorted(sites))
-        p = np.linalg.eigvalsh(rho)
-        p = p[p > 1e-12]
-        return float(-np.sum(p * np.log(p)))
-
-    x, y, z = tuple(x), tuple(y), tuple(z)
-    return s(x) + s(y) + s(z) - s(x + y) - s(x + z) - s(y + z) + s(x + y + z)
 
 
 def test_max_tmi_known_states():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from dataclasses import replace
@@ -5,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from entgap.cli import main
+from entgap.cli import MAX_GRID_POINTS, _parse_grid, main
 from entgap.entropy import EntropyConfig, entropy_from_spectrum, max_tmi
 from entgap.io import (
     ShotLogError,
@@ -492,9 +493,10 @@ def test_cli_rejects_nonfinite_numeric_options(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("command", ["curve", "sweep"])
 @pytest.mark.parametrize("grid", ["0.1:inf:0.1", "0.1:1:inf", "-inf:1:0.1", "nan:1:0.1",
-                                  "0.1:nan:0.1", "0.1:1:nan"])
+                                  "0.1:nan:0.1", "0.1:1:nan", "0.05:1.2:1e-12", "-1e308:1e308:1"])
 def test_cli_rejects_nonfinite_q_grid(tmp_path, capsys, command, grid):
-    # inf overflowed the point count and a nan step built the grid [nan]: exit 1, traceback
+    # inf overflowed the point count and a nan step built the grid [nan]: exit 1, traceback.
+    # The last two hold ~1.15e12 points and an inf span: rejected before any point is built.
     source = (["--state", str(fixture_path("violation_3322.json"))] if command == "curve"
               else ["--dims", "2,2,2,2"])
     with pytest.raises(SystemExit) as exc:
@@ -502,6 +504,12 @@ def test_cli_rejects_nonfinite_q_grid(tmp_path, capsys, command, grid):
     assert exc.value.code == 2
     assert f"bad grid {grid!r}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_q_grid_point_bound_is_inclusive():
+    assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+    with pytest.raises(argparse.ArgumentTypeError, match="more than"):
+        _parse_grid(f"0:{MAX_GRID_POINTS}:1")
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from entgap.entropy import von_neumann
+from entgap.entropy import hermitian_spectrum, von_neumann
+from entgap.reflect import sqrt_density
 from entgap.states import (
     DensityMatrix,
     Dims,
     PartitionSpec,
     QuditState,
     default_partition,
-    density_from_state,
     equal_superposition,
     partial_trace,
     permute_and_group,
@@ -54,21 +54,27 @@ def test_equal_superposition_values():
     assert abs(np.vdot(s.amplitudes, s.amplitudes).real - 1.0) < 1e-15
 
 
-def test_density_from_state_basis_and_bell():
-    ket0 = QuditState(Dims((2,)), np.array([1.0, 0.0]))
-    assert np.allclose(density_from_state(ket0).matrix, np.diag([1.0, 0.0]))
-
-    bell = QuditState(Dims((2, 2)), bell_pair())
-    rho = density_from_state(bell).matrix
-    want = np.zeros((4, 4))
-    want[0, 0] = want[0, 3] = want[3, 0] = want[3, 3] = 0.5
-    assert np.allclose(rho, want)
-
-
 def test_density_purity_rank_one(rng):
     psi = random_state(Dims((3, 2, 2)), rng)
-    rho = density_from_state(psi).matrix
+    rho = partial_trace(psi, (0, 1, 2)).matrix
+    assert np.allclose(rho, np.outer(psi.amplitudes, psi.amplitudes.conj()), atol=1e-15)
     assert abs(np.trace(rho @ rho).real - 1.0) < 1e-12
+
+
+def test_density_matrix_stores_an_exactly_hermitian_matrix(rng):
+    z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    rho = z @ z.conj().T
+    rho /= np.trace(rho).real
+    noise = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    near = rho + 1e-12 * noise  # Hermitian to 1e-12 only
+    assert np.max(np.abs(near - near.conj().T)) > 0.0
+    exact = 0.5 * (near + near.conj().T)
+    dm = DensityMatrix(Dims((2, 3)), near)
+    assert np.array_equal(dm.matrix, dm.matrix.conj().T)
+    assert np.array_equal(dm.matrix, exact)
+    want = DensityMatrix(Dims((2, 3)), exact)
+    assert np.array_equal(hermitian_spectrum(dm), hermitian_spectrum(want))
+    assert np.array_equal(sqrt_density(dm), sqrt_density(want))
 
 
 def test_partial_trace_bell_marginal():
