@@ -5,7 +5,8 @@ Exit codes: 0 pass, 1 numeric-criterion failure, 2 input/parse error.
 Runs are reproducible from the emitted manifest: shot seeds derive from
 --master-seed as ``master ^ index`` and outputs are byte-deterministic at
 any --parallelism and any OPENBLAS_NUM_THREADS: a search runs every BLAS
-call on one OpenBLAS thread and spends the thread budget on shots instead.
+call on one OpenBLAS thread and spends the thread budget on worker
+processes instead.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from .optimize import (
     AdamConfig,
     derive_seeds,
     run_batch,
-    shot_threads,
     state_from_record,
     state_gap_curve,
     sweep_min_gap,
+    worker_count,
 )
 from .states import Dims, QuditState, default_partition
 
@@ -74,11 +75,9 @@ def _add_common(p: argparse.ArgumentParser, steps_default: int = 5000) -> None:
     p.add_argument("--steps", type=int, default=steps_default)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--parallelism", type=int, default=1,
-                   help="worker processes, >= 1; each steps one contiguous chunk of the seeds. "
-                        "A single process splits its chunk across its OpenBLAS thread budget "
-                        "(OPENBLAS_NUM_THREADS), one thread per sub-chunk and at most one per "
-                        "seed, and runs OpenBLAS itself on one thread; pool workers use one "
-                        "thread each")
+                   help="worker processes, >= 1; each steps one contiguous chunk of the seeds "
+                        "with OpenBLAS on one thread. 1 starts one per thread of the OpenBLAS "
+                        "budget (OPENBLAS_NUM_THREADS) instead. Never more than seeds or CPUs")
     p.add_argument("--log-base", choices=("e", "2"), default="e")
     p.add_argument("--out", type=Path, required=True, help="output directory")
 
@@ -192,7 +191,7 @@ def _cmd_optimize(args) -> int:
             {"dims": list(args.dims.sites), "q": args.q, "penalty": args.penalty,
              "penalty_weight": args.penalty_weight},
         ),
-        shot_threads=shot_threads(len(seeds), args.parallelism, cfg),
+        workers=worker_count(len(seeds), args.parallelism),
     )
     objective = "objective (gap + MMI hinge)" if args.penalty else "gap"
     return _report_best(records, out, f"{objective} over {len(records)} shots")
@@ -216,16 +215,16 @@ def _cmd_sweep(args) -> int:
         args, {"dims": list(args.dims.sites), "train_q": list(args.train_q),
                "q_grid": [args.q_grid[0], args.q_grid[-1], len(args.q_grid)]}
     )
-    threads = shot_threads(len(seeds), args.parallelism, cfg)
+    workers = worker_count(len(seeds), args.parallelism)
     shots = emit_reports(all_records, "shots_jsonl", args.out / "shots.jsonl", "sweep", cfgdict,
-                         threads)
+                         workers)
     if not states:
         return _report_best(all_records, shots, "gap")
     part = default_partition(args.dims)
     sweep = sweep_min_gap(
         states, args.q_grid, part, EntropyConfig(log_base=args.log_base), ids=ids
     )
-    out = emit_reports(sweep, "sweep_csv", args.out / "sweep.csv", "sweep", cfgdict, threads)
+    out = emit_reports(sweep, "sweep_csv", args.out / "sweep.csv", "sweep", cfgdict, workers)
     neg = [r for r in sweep if r.min_gap < 0]
     print(f"wrote {out}; min gap is negative at {len(neg)}/{len(sweep)} grid points")
     return 0
@@ -301,7 +300,7 @@ def _cmd_mera(args) -> int:
     out = emit_reports(
         records, "shots_jsonl", args.out / "shots.jsonl", "mera",
         _run_config_dict(args, {"qubits": args.qubits, "q": args.q, "gradient": args.gradient}),
-        shot_threads(len(seeds), args.parallelism, cfg, "mera"),
+        worker_count(len(seeds), args.parallelism),
     )
     return _report_best(records, out, f"gap over {len(records)} MERA shots")
 

@@ -385,15 +385,14 @@ def write_tmi_csv(rows: Sequence[tuple[int, float, float]], path: Union[str, Pat
 
 
 def write_manifest(out_path: Union[str, Path], command: str, config: dict,
-                   shot_threads: Optional[int] = None) -> Path:
+                   workers: Optional[int] = None) -> Path:
     """Drop a replay manifest next to an emitted artifact.
 
     ``blas_threads`` is the OpenBLAS thread budget of the writing process.  A
-    search spends it on shots, running every BLAS call on one thread, so its
-    results do not depend on it.  ``shot_threads``, recorded for searches, is
-    how many threads each process stepped its shots on: the budget, at most
-    one per seed, and 1 in pool workers and for small matrices
-    (``optimize.shot_threads``).
+    search spends it on worker processes, each running every BLAS call on one
+    thread, so its results do not depend on it.  ``workers``, recorded for
+    searches, is the worker processes a search ran on
+    (``optimize.worker_count``).
     """
     out_path = Path(out_path)
     manifest = {
@@ -403,15 +402,15 @@ def write_manifest(out_path: Union[str, Path], command: str, config: dict,
         "blas_threads": blas_threads(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    if shot_threads is not None:
-        manifest["shot_threads"] = shot_threads
+    if workers is not None:
+        manifest["workers"] = workers
     mpath = out_path.with_name(out_path.name + ".manifest.json")
     mpath.write_text(json.dumps(manifest, indent=1) + "\n")
     return mpath
 
 
 def emit_reports(records, kind: str, out_path: Union[str, Path], command: str = "",
-                 config: Optional[dict] = None, shot_threads: Optional[int] = None) -> Path:
+                 config: Optional[dict] = None, workers: Optional[int] = None) -> Path:
     """Write one report artifact plus its manifest; returns the artifact path.
 
     Kinds: ``sweep_csv``, ``curve_csv``, ``tmi_csv``, ``shots_jsonl``.
@@ -429,5 +428,5 @@ def emit_reports(records, kind: str, out_path: Union[str, Path], command: str = 
     if kind not in writers:
         raise ValueError(f"unknown report kind {kind!r}")
     writers[kind](records, out_path)
-    write_manifest(out_path, command, config or {}, shot_threads)
+    write_manifest(out_path, command, config or {}, workers)
     return out_path

@@ -28,10 +28,9 @@ never materialized.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +41,7 @@ from .optimize import (
     gaussian_entries,
     lockstep_shots,
     map_chunks,
-    shot_threads,
+    worker_count,
 )
 from .states import Dims, PartitionSpec, QuditState
 
@@ -238,14 +237,9 @@ def initial_mera_params(layout: MeraLayout, rng: np.random.Generator) -> MeraPar
     return MeraParams(ent.reshape(layout.num_gates, ENTRIES_PER_GATE))
 
 
-def _mera_shots(
-    layout: MeraLayout, cfg: ObjectiveConfig, adam: AdamConfig, gradient: str, seeds: Sequence[int],
-    stop: Optional[threading.Event] = None,
-) -> list[ShotRecord]:
-    """MERA shots for the seeds in one lockstep stack, evaluated one row at a time.
-
-    ``stop`` is as for :func:`optimize.descend`.
-    """
+def _mera_shots(layout: MeraLayout, cfg: ObjectiveConfig, adam: AdamConfig, gradient: str,
+                seeds: Sequence[int]) -> list[ShotRecord]:
+    """MERA shots for the seeds in one lockstep stack, evaluated one row at a time."""
 
     def vg(x: np.ndarray):
         rows = [mera_value_and_gradient(layout, _unflatten(r, layout.num_gates), cfg, gradient)
@@ -255,7 +249,7 @@ def _mera_shots(
     def init(rng: np.random.Generator) -> np.ndarray:
         return _flatten(initial_mera_params(layout, rng))
 
-    return lockstep_shots(cfg, adam, seeds, init, vg, "mera", stop)
+    return lockstep_shots(cfg, adam, seeds, init, vg, "mera")
 
 
 def run_mera_shot(
@@ -279,8 +273,8 @@ def run_mera_search(
 ) -> list[ShotRecord]:
     """Batched MERA shots, results in seed order."""
     seeds = list(seeds)
-    return map_chunks(partial(_mera_shots, layout, cfg, adam, gradient), seeds, parallelism,
-                      shot_threads(len(seeds), parallelism, cfg, "mera"))
+    return map_chunks(partial(_mera_shots, layout, cfg, adam, gradient), seeds,
+                      worker_count(len(seeds), parallelism))
 
 
 def mera_state_from_record(record: ShotRecord) -> QuditState:

@@ -3,30 +3,29 @@
 Shots run in lockstep: :func:`descend` advances a stack of S shots (S, n)
 with one stacked objective call and one :func:`adam_step` call per step,
 tracks each shot's best point and trace, and retires a shot alone when it
-fails.  A batch splits its seeds into ``parallelism`` contiguous chunks,
-one per worker process.  Each process spends its OpenBLAS thread budget
-(``OPENBLAS_NUM_THREADS``, or the library's default) on shots rather than
-inside BLAS calls: it splits its chunk into :func:`shot_threads` contiguous
-sub-chunks, one per thread, each stepped as one stack, while OpenBLAS runs
-on one thread (:func:`_step_on_threads`, in pool workers too).  Pool
-workers step their chunk on one thread, and so do shots whose steps
-decompose only small matrices (MIN_THREADED_DIM).
+fails.  A batch splits its seeds into contiguous chunks, one per worker
+process (:func:`worker_count`): ``parallelism`` of them when it is above
+one, else one per thread of the OpenBLAS budget (``OPENBLAS_NUM_THREADS``,
+or the library's default), so the budget is spent on shots rather than
+inside BLAS calls.  Every worker runs OpenBLAS on one thread.  A single
+worker runs in this process; more are forked (:func:`map_chunks`).
 
 Reproducibility contract: every shot owns a PCG64 generator seeded with its
 shot seed, shot seeds derive from a master seed as ``master ^ shot_index``,
 every stacked operation treats shots independently (a shot steps bit for
 bit as it would alone), every batch runs its BLAS calls on one OpenBLAS
 thread, and batch results are returned in seed order regardless of the
-execution parallelism or thread budget, so (seed, configs) fully determine
-each record.
+worker count, so (seed, configs) fully determine each record.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
-import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import multiprocessing
+import os
+import signal
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
 from math import isfinite
@@ -165,15 +164,15 @@ def _evaluate(value_and_grad: StackValueGrad, x: np.ndarray):
 
 
 class Stopped(Exception):
-    """A stack abandoned mid-descent because its ``stop`` event was set."""
+    """A stack abandoned mid-descent because its worker's batch was stopped."""
 
 
-def descend(
-    x0: np.ndarray,
-    value_and_grad: StackValueGrad,
-    adam: AdamConfig,
-    stop: Optional[threading.Event] = None,
-) -> list:
+# set by a batch in each worker it forks (_start_worker): once it is set,
+# every worker's next step raises Stopped
+_stop = None
+
+
+def descend(x0: np.ndarray, value_and_grad: StackValueGrad, adam: AdamConfig) -> list:
     """Run ADAM in lockstep from every row of x0 (S, n), tracking each row's best objective.
 
     ``value_and_grad`` maps a stack of points (k, n) to objectives (k,) and
@@ -181,7 +180,7 @@ def descend(
     bit as it would alone.  A FloatingPointError or a non-finite objective ends
     a row early with what it found so far; any other exception, or a
     non-finite gradient, which adam_step rejects, fails the row outright.
-    Once ``stop`` is set, the next step raises :class:`Stopped` instead.
+    Once the worker's batch is stopped, the next step raises :class:`Stopped`.
 
     Returns, per row, the exception that failed it or (best_value, best_x,
     steps_run, trace, failed, note).  The objective is evaluated at the
@@ -201,7 +200,7 @@ def descend(
         out[i] = (float(best[i]), best_x[i].copy(), t - 1, traces[i, :t - 1].copy(), True, note)
 
     for t in range(1, adam.steps + 1):
-        if stop is not None and stop.is_set():
+        if _stop is not None and _stop.is_set():
             raise Stopped(f"stopped at step {t}")
         values, grads, errors = _evaluate(value_and_grad, x)
         live = np.isfinite(values) & np.all(np.isfinite(grads), axis=1)
@@ -236,8 +235,7 @@ MAX_STACK = 64
 
 def lockstep_shots(
     cfg: ObjectiveConfig, adam: AdamConfig, seeds: Sequence[int],
-    init: Callable[[np.random.Generator], np.ndarray], value_and_grad: StackValueGrad,
-    family: str, stop: Optional[threading.Event] = None,
+    init: Callable[[np.random.Generator], np.ndarray], value_and_grad: StackValueGrad, family: str,
 ) -> list[ShotRecord]:
     """Seeded shots of either search family, stepped together by :func:`descend`.
 
@@ -245,12 +243,12 @@ def lockstep_shots(
     generator seeded with ``seed``, so each record depends on its seed alone.
     Seeds are stepped in stacks of at most MAX_STACK.  The best real point is
     recorded as complex entries, the real row viewed as complex128.  Records
-    come in seed order.  ``stop`` is as for :func:`descend`.
+    come in seed order.
     """
     outcomes = []
     for i in range(0, len(seeds), MAX_STACK):
         x0 = np.stack([init(np.random.Generator(np.random.PCG64(s))) for s in seeds[i:i + MAX_STACK]])
-        outcomes += descend(x0, value_and_grad, adam, stop)
+        outcomes += descend(x0, value_and_grad, adam)
     records = []
     for seed, res in zip(seeds, outcomes):
         if isinstance(res, Exception):  # failed outright: no steps, objective inf
@@ -273,9 +271,7 @@ def lockstep_shots(
     return records
 
 
-def run_shots(
-    cfg: ObjectiveConfig, adam: AdamConfig, seeds: Sequence[int], stop: Optional[threading.Event] = None
-) -> list[ShotRecord]:
+def run_shots(cfg: ObjectiveConfig, adam: AdamConfig, seeds: Sequence[int]) -> list[ShotRecord]:
     """Gap-search shots for the seeds, in one lockstep stack; deterministic in (cfg, adam, seed)."""
     d = cfg.dims.total
 
@@ -286,7 +282,7 @@ def run_shots(
     def init(rng: np.random.Generator) -> np.ndarray:
         return gaussian_entries(UTParams.num_entries(d), d, rng).view(np.float64)
 
-    return lockstep_shots(cfg, adam, seeds, init, vg, "unitary", stop)
+    return lockstep_shots(cfg, adam, seeds, init, vg, "unitary")
 
 
 def run_shot(cfg: ObjectiveConfig, adam: AdamConfig, seed: int) -> ShotRecord:
@@ -310,7 +306,7 @@ def _set_blas_threads(count: int) -> None:
 def blas_threads() -> Optional[int]:
     """The thread count numpy's bundled OpenBLAS is set to in this process; None without it.
 
-    It is the process's thread budget: :func:`shot_threads` spends it on shots.
+    It is the process's thread budget: :func:`worker_count` spends it on worker processes.
     """
     return _openblas_call("scipy_openblas_get_num_threads64_")
 
@@ -328,39 +324,17 @@ def _blas_on_one_thread():
             _set_blas_threads(before)
 
 
-# Shot threads beat one thread only where a shot's step spends most of its
-# time in numpy calls on matrices at least this large, which run without the
-# GIL.  8-seed batches on a 2-vCPU host stepped on two threads: 3,3,2,2
-# (d = 36) x1.3 faster, 16-qubit MERA (256x256 marginals) x1.6, but
-# 2,2,2,2 (d = 16) and 8-qubit MERA (16x16 marginals) 25-45% slower;
-# 3,2,2,2 (d = 24) read 10% faster, inside the run-to-run spread
-# (BENCH_shot_threads.json, "small_problems").
-MIN_THREADED_DIM = 32
+def worker_count(count: int, parallelism: int) -> int:
+    """Worker processes a batch of ``count`` seeds runs on.
 
-
-def _step_dim(cfg: ObjectiveConfig, family: str) -> int:
-    """The size of the largest matrices a shot's step decomposes.
-
-    The unitary family exponentiates a d x d generator; a MERA step's
-    largest matrix is rho_AB.
+    ``parallelism`` above one asks for that many; one asks for one per
+    thread of the OpenBLAS budget, :func:`blas_threads` (one on another BLAS
+    build).  Never more workers than seeds or than ``os.cpu_count()``.
     """
-    if family == "mera":
-        part = cfg.partition
-        return int(np.prod([cfg.dims.sites[s] for s in part.a_sites + part.b_sites]))
-    return cfg.dims.total
-
-
-def shot_threads(count: int, parallelism: int, cfg: ObjectiveConfig, family: str = "unitary") -> int:
-    """Threads each process steps its chunk of ``count`` seeds of ``family`` on.
-
-    The count is the process's OpenBLAS thread budget, :func:`blas_threads`,
-    but no more threads than seeds; it is one in pool workers
-    (``parallelism`` > 1), on another BLAS build, and when the largest
-    matrices a step decomposes are smaller than MIN_THREADED_DIM.
-    """
-    if parallelism > 1 or _step_dim(cfg, family) < MIN_THREADED_DIM:
-        return 1
-    return min(blas_threads() or 1, count)
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    wanted = parallelism if parallelism > 1 else blas_threads() or 1
+    return min(wanted, count, os.cpu_count() or 1)
 
 
 def run_batch(
@@ -371,8 +345,7 @@ def run_batch(
 ) -> list[ShotRecord]:
     """Independent shots for every seed, results in seed order."""
     seeds = list(seeds)
-    return map_chunks(partial(run_shots, cfg, adam), seeds, parallelism,
-                      shot_threads(len(seeds), parallelism, cfg))
+    return map_chunks(partial(run_shots, cfg, adam), seeds, worker_count(len(seeds), parallelism))
 
 
 def _split(seeds: list, k: int) -> list[list]:
@@ -380,64 +353,49 @@ def _split(seeds: list, k: int) -> list[list]:
     return [seeds[len(seeds) * i // k:len(seeds) * (i + 1) // k] for i in range(k)]
 
 
-def map_chunks(run: Callable[..., list], seeds: list, parallelism: int, threads: int) -> list[ShotRecord]:
-    """``run`` on ``parallelism`` contiguous chunks of the seeds, one per worker, in seed order.
+# the chunk runner of a forked worker (_start_worker)
+_run = None
 
-    One chunk runs in this process, more in a process pool.  Each worker
-    steps its chunk on ``threads`` threads (:func:`shot_threads`,
-    :func:`_step_on_threads`) with OpenBLAS on one thread.
-    ``run(seeds[, stop])`` steps the seeds and raises :class:`Stopped` at
-    its next step once the threading.Event ``stop`` is set.
+
+def _start_worker(run: Callable[[list], list], stop) -> None:
+    """Pool initializer: run ``run`` on the chunk, stop once ``stop`` is set, leave Ctrl-C to the parent."""
+    global _run, _stop
+    _run, _stop = run, stop
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _run_chunk(seeds: list) -> list:
+    return _run(seeds)
+
+
+def map_chunks(run: Callable[[list], list], seeds: list, workers: int) -> list[ShotRecord]:
+    """``run`` on ``workers`` contiguous chunks of the seeds, one per worker, in seed order.
+
+    OpenBLAS runs on one thread in every worker, so a shot rounds alike
+    however the seeds are split.  One worker runs in this process; more are
+    forked, and inherit ``run`` and the loaded modules.  When a worker
+    raises, or this process is interrupted, the other workers stop at their
+    next step (:class:`Stopped`), and the exception propagates once every
+    worker has exited.
     """
     if not seeds:
         raise ValueError("seeds must be non-empty")
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism}")
-    chunks = _split(seeds, min(parallelism, len(seeds)))
-    worker = partial(_step_on_threads, run, threads)
-    if len(chunks) == 1:
-        return worker(seeds)
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        return [rec for part in pool.map(worker, chunks) for rec in part]
-
-
-def _run_or_stop(run: Callable[..., list], stop: threading.Event, part: list) -> list:
-    """``run`` on a helper thread's sub-chunk; its exception stops the other threads."""
-    try:
-        return run(part, stop)
-    except BaseException:
-        stop.set()
-        raise
-
-
-def _step_on_threads(run: Callable[..., list], threads: int, seeds: list) -> list:
-    """``run`` on ``threads`` contiguous sub-chunks of the seeds, in seed order.
-
-    OpenBLAS runs on one thread, in this process and in pool workers alike,
-    so a shot rounds alike however the seeds are split.  The calling thread steps the first
-    sub-chunk and one helper thread each of the others.  When a sub-chunk
-    raises, or the calling thread is interrupted, the other threads stop at
-    their next step, and the exception propagates once every thread has
-    stopped.
-    """
-    parts = _split(seeds, threads)
-    with _blas_on_one_thread():
-        if len(parts) == 1:
+    chunks = _split(seeds, min(workers, len(seeds)))
+    with _blas_on_one_thread():  # forked workers inherit the one thread
+        if len(chunks) == 1:
             return run(seeds)
-        stop = threading.Event()
-        with ThreadPoolExecutor(max_workers=len(parts) - 1) as helpers:
+        ctx = multiprocessing.get_context("fork")
+        stop = ctx.Event()
+        with ProcessPoolExecutor(len(chunks), ctx, _start_worker, (run, stop)) as pool:
             try:
-                rest = [helpers.submit(_run_or_stop, run, stop, part) for part in parts[1:]]
-                first = run(parts[0], stop)
-            except Stopped:
-                first = None  # a helper raised: its exception is raised below
-            except BaseException:  # Ctrl-C included: the helpers stop before this propagates
+                futures = [pool.submit(_run_chunk, chunk) for chunk in chunks]
+                wait(futures, return_when=FIRST_EXCEPTION)
+            finally:  # a worker raised, or this process was interrupted
                 stop.set()
-                raise
-    for f in rest:  # the first helper exception that is not a stop
+    for f in futures:  # the first worker exception that is not a stop
         if f.exception() is not None and not isinstance(f.exception(), Stopped):
             raise f.exception()
-    return first + [rec for f in rest for rec in f.result()]
+    return [rec for f in futures for rec in f.result()]
 
 
 # ---------------------------------------------------------------------------

@@ -315,10 +315,10 @@ def test_emit_reports_writes_manifest(tmp_path):
     assert manifest["config"] == {"alpha": 0.1}
     assert "version" in manifest and "timestamp" in manifest
     assert manifest["blas_threads"] == blas_threads()
-    assert "shot_threads" not in manifest  # only searches step shots
+    assert "workers" not in manifest  # only searches run on workers
     assert out.exists()
-    emit_reports(records, "sweep_csv", tmp_path / "y.csv", "sweep", {}, shot_threads=2)
-    assert json.loads((tmp_path / "y.csv.manifest.json").read_text())["shot_threads"] == 2
+    emit_reports(records, "sweep_csv", tmp_path / "y.csv", "sweep", {}, workers=2)
+    assert json.loads((tmp_path / "y.csv.manifest.json").read_text())["workers"] == 2
 
 
 def test_emit_reports_validation(tmp_path):

@@ -22,7 +22,7 @@ from entgap.mera import (
     run_mera_shot,
 )
 from entgap.objective import gap
-from entgap.optimize import AdamConfig, blas_threads, state_from_record
+from entgap.optimize import AdamConfig, state_from_record, worker_count
 from entgap.states import Dims, QuditState, reduced_density_vector
 
 from conftest import reference_partial_trace
@@ -166,7 +166,7 @@ def test_sixteen_qubit_shot_protocol_smoke():
 
 
 def test_sixteen_qubit_logs_are_identical_at_any_parallelism(tmp_path):
-    # every batch runs OpenBLAS on one thread, in this process as in pool workers
+    # every worker runs OpenBLAS on one thread, in this process as in forked ones
     logs = []
     for par in ("1", "2"):
         out = tmp_path / f"p{par}"
@@ -174,7 +174,7 @@ def test_sixteen_qubit_logs_are_identical_at_any_parallelism(tmp_path):
                      "--parallelism", par, "--out", str(out)]) == 0
         logs.append((out / "shots.jsonl").read_bytes())
         manifest = json.loads((out / "shots.jsonl.manifest.json").read_text())
-        assert manifest["shot_threads"] == (min(blas_threads() or 1, 2) if par == "1" else 1)
+        assert manifest["workers"] == worker_count(2, int(par))
     assert logs[0] == logs[1]
     # a one-seed run rounds as that seed does inside the batch
     assert main(["mera", "--qubits", "16", "--seeds", "1", "--steps", "2",

@@ -1,6 +1,9 @@
 import ctypes
 import math
+import multiprocessing
+import os
 import re
+import signal
 import sys
 import threading
 from functools import partial
@@ -140,6 +143,7 @@ def test_run_batch_parallelism_invariant():
 
 
 OPENBLAS = sorted(Path(np.__file__).parent.with_name("numpy.libs").glob("libscipy_openblas64_*.so"))
+FORK = multiprocessing.get_context("fork")
 
 
 def _openblas_threads() -> int:
@@ -154,32 +158,60 @@ def _openblas_threads_per_seed(seeds: list) -> list:
 def test_shot_workers_run_one_blas_thread():
     before = _openblas_threads()
     assert blas_threads() == before  # what every manifest records
-    assert map_chunks(_openblas_threads_per_seed, [0, 1], parallelism=2, threads=1) == [1, 1]
+    assert map_chunks(_openblas_threads_per_seed, [0, 1], 2) == [1, 1]
+    assert map_chunks(_openblas_threads_per_seed, [0, 1], 1) == [1, 1]
     assert _openblas_threads() == before  # the calling process keeps its threads
+    assert multiprocessing.active_children() == []  # both workers exited
+
+
+def test_worker_count_is_capped_at_seeds_and_cpus(monkeypatch):
+    # computes the count only: no process is started
+    monkeypatch.setattr(opt.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(opt, "blas_threads", lambda: 2)
+    assert opt.worker_count(5000, 5000) == 4
+    assert opt.worker_count(3, 5000) == 3
+    assert opt.worker_count(8, 1) == 2 and opt.worker_count(1, 1) == 1  # the BLAS budget
+    monkeypatch.setattr(opt, "blas_threads", lambda: None)  # another BLAS build
+    assert opt.worker_count(8, 1) == 1
+    monkeypatch.setattr(opt.os, "cpu_count", lambda: None)
+    assert opt.worker_count(8, 3) == 1
+    with pytest.raises(ValueError, match="parallelism must be >= 1"):
+        opt.worker_count(8, 0)
 
 
 def _spy_chunks(monkeypatch, module, name):
-    """Wrap ``module.name``, a chunk runner, to log (thread, seeds, OpenBLAS threads) per call."""
-    real, calls, lock = getattr(module, name), [], threading.Lock()
+    """Wrap ``module.name``, a chunk runner, to log (process, seeds, OpenBLAS threads) per call.
+
+    Forked workers inherit the wrapper and send their log through a pipe; the
+    returned function reads what every call sent.
+    """
+    real, pipe = getattr(module, name), FORK.SimpleQueue()
 
     def spy(*args):
-        seeds = next(a for a in args if isinstance(a, list))  # args end in (seeds[, stop])
-        with lock:
-            calls.append((threading.get_ident(), seeds, _openblas_threads() if OPENBLAS else None))
+        seeds = next(a for a in args if isinstance(a, list))  # args end in seeds
+        pipe.put((os.getpid(), seeds, _openblas_threads() if OPENBLAS else None))
         return real(*args)
+
+    def calls():
+        out = []
+        while not pipe.empty():
+            out.append(pipe.get())
+        return out
 
     monkeypatch.setattr(module, name, spy)
     return calls
 
 
-def _check_split(calls, seeds, threads):
-    """The chunks ran on ``threads`` threads, the first on this one, OpenBLAS on one thread."""
+def _check_split(calls, seeds, workers):
+    """The chunks ran on ``workers`` processes, forked unless one, OpenBLAS on one thread."""
     by_first = sorted(calls, key=lambda c: seeds.index(c[1][0]))
     assert [s for c in by_first for s in c[1]] == seeds  # contiguous, in seed order
-    assert [len(c[1]) for c in by_first] == [len(p) for p in opt._split(seeds, threads)]
-    assert len({c[0] for c in calls}) == threads
-    assert by_first[0][0] == threading.get_ident()
+    assert [len(c[1]) for c in by_first] == [len(p) for p in opt._split(seeds, workers)]
+    pids = {c[0] for c in calls}
+    assert len(pids) == workers
+    assert (pids == {os.getpid()}) if workers == 1 else (os.getpid() not in pids)
     assert {c[2] for c in calls} == {1 if OPENBLAS else None}
+    assert multiprocessing.active_children() == []
 
 
 def _mera_case():
@@ -199,23 +231,19 @@ def _unitary_case(penalty):
     (partial(_unitary_case, False), 16), (partial(_unitary_case, True), 16), (_mera_case, 4),
 ], ids=["unitary", "penalized", "mera8"])
 def test_threaded_batch_equals_each_seed_alone(monkeypatch, case, count):
+    # at --parallelism 1 a batch starts one worker per thread of the OpenBLAS budget
     search, module, runner = case()
     adam = AdamConfig(steps=20)
     seeds = derive_seeds(11, count)
     alone = [_dicts(search(adam, [s]))[0] for s in seeds]
     before = _openblas_threads() if OPENBLAS else None
-    interval = sys.getswitchinterval()
     for budget in (1, 2, 3):
         with monkeypatch.context() as mp:
             mp.setattr(opt, "blas_threads", lambda: budget)
-            mp.setattr(opt, "MIN_THREADED_DIM", 0)  # 8-qubit MERA steps on threads too
+            mp.setattr(opt.os, "cpu_count", lambda: 3)  # three workers even on fewer CPUs
             calls = _spy_chunks(mp, sys.modules[module], runner)
-            sys.setswitchinterval(1e-5)  # interleave the threads' Python code finely
-            try:
-                assert _dicts(search(adam, seeds)) == alone, budget
-            finally:
-                sys.setswitchinterval(interval)
-        _check_split(calls, seeds, budget)
+            assert _dicts(search(adam, seeds)) == alone, budget
+            _check_split(calls(), seeds, budget)
         if OPENBLAS:
             assert _openblas_threads() == before  # restored after the batch
 
@@ -227,49 +255,32 @@ def test_uneven_thread_splits(monkeypatch, count, budget, sizes):
     alone = [_dicts(run_batch(cfg, adam, [s]))[0] for s in seeds]
     before = _openblas_threads() if OPENBLAS else None
     monkeypatch.setattr(opt, "blas_threads", lambda: budget)
-    monkeypatch.setattr(opt, "MIN_THREADED_DIM", 0)
     calls = _spy_chunks(monkeypatch, opt, "run_shots")
     assert _dicts(run_batch(cfg, adam, seeds)) == alone
+    calls = calls()
     assert sorted(len(c[1]) for c in calls) == sizes
-    _check_split(calls, seeds, len(sizes))  # a single seed runs on this thread alone
+    _check_split(calls, seeds, len(sizes))  # a single seed runs in this process
     if OPENBLAS:
         assert _openblas_threads() == before
 
 
-def test_small_problems_step_on_one_thread(monkeypatch):
-    # below MIN_THREADED_DIM a second thread only contends for the GIL
-    from entgap.mera import mera_objective_config
-
-    monkeypatch.setattr(opt, "blas_threads", lambda: 2)
-    small, large = small_config(), small_config((3, 3, 2, 2))  # d = 16 and 36
-    assert opt.shot_threads(4, 1, small) == 1 and opt.shot_threads(4, 1, large) == 2
-    assert opt.shot_threads(4, 2, large) == 1 and opt.shot_threads(1, 1, large) == 1
-    # MERA's largest matrix is rho_AB: 16x16 at 8 qubits, 256x256 at 16
-    assert opt.shot_threads(4, 1, mera_objective_config(8), "mera") == 1
-    assert opt.shot_threads(4, 1, mera_objective_config(16), "mera") == 2
-    adam, seeds = AdamConfig(steps=5), derive_seeds(5, 4)
-    calls = _spy_chunks(monkeypatch, opt, "run_shots")
-    run_batch(small, adam, seeds)
-    _check_split(calls, seeds, 1)
-
-
 @pytest.mark.parametrize("exc,code", [(ValueError("bad chunk"), 2), (RuntimeError("bad chunk"), None)])
 def test_exception_in_a_helper_thread_propagates(monkeypatch, tmp_path, capsys, exc, code):
+    # a forked worker's exception reaches the caller as the same type and message
     from entgap.cli import main
 
     seeds = derive_seeds(0, 4)
     real = opt.run_shots
+    parent = os.getpid()
 
-    def run_shots(cfg, adam, chunk, stop=None):
-        if seeds[-1] in chunk:  # the last sub-chunk: a helper thread's
-            assert threading.get_ident() != main_thread
+    def run_shots(cfg, adam, chunk):
+        if seeds[-1] in chunk:  # the last chunk: a forked worker's
+            assert os.getpid() != parent
             raise exc
-        return real(cfg, adam, chunk, stop)
+        return real(cfg, adam, chunk)
 
-    main_thread = threading.get_ident()
     before = _openblas_threads() if OPENBLAS else None
     monkeypatch.setattr(opt, "blas_threads", lambda: 2)
-    monkeypatch.setattr(opt, "MIN_THREADED_DIM", 0)
     monkeypatch.setattr(opt, "run_shots", run_shots)
     argv = ["optimize", "--dims", "2,2,2,2", "--seeds", "4", "--steps", "5",
             "--out", str(tmp_path / "run")]
@@ -281,16 +292,17 @@ def test_exception_in_a_helper_thread_propagates(monkeypatch, tmp_path, capsys, 
         except Exception as raised:
             outcome["raised"] = raised
 
-    worker = threading.Thread(target=invoke, daemon=True)
-    worker.start()
-    worker.join(timeout=120)
-    assert not worker.is_alive()  # no hang
-    if code is None:  # escapes main, as it does from the calling thread: exit status 1
-        assert outcome["raised"] is exc
+    caller = threading.Thread(target=invoke, daemon=True)
+    caller.start()
+    caller.join(timeout=120)
+    assert not caller.is_alive()  # no hang
+    if code is None:  # escapes main, as it does from this process: exit status 1
+        assert type(outcome["raised"]) is type(exc) and str(outcome["raised"]) == str(exc)
     else:
         assert outcome["rc"] == code
         assert capsys.readouterr().err == "error: bad chunk\n"
     assert not (tmp_path / "run" / "shots.jsonl").exists()
+    assert multiprocessing.active_children() == []
     if OPENBLAS:
         assert _openblas_threads() == before
 
@@ -300,50 +312,61 @@ def test_exception_in_a_helper_thread_propagates(monkeypatch, tmp_path, capsys, 
     (KeyboardInterrupt(), "calling"),
 ])
 def test_a_failing_chunk_stops_the_other_threads(monkeypatch, exc, failing):
-    # the failing chunk raises once the other one is stepping; the other then
-    # stops at its next step instead of running out its budget
+    # once the workers are stepping, the first ("calling") or last ("helper")
+    # chunk raises, or a KeyboardInterrupt reaches the calling process; the
+    # other workers then stop at their next step instead of running out their
+    # budget, at --parallelism 1 (a worker per BLAS thread) and 2 alike
     steps = 20000
     seeds = derive_seeds(0, 4)
-    bad_seed = seeds[0] if failing == "calling" else seeds[-1]
+    interrupt = isinstance(exc, KeyboardInterrupt)
+    bad_seed = None if interrupt else seeds[0] if failing == "calling" else seeds[-1]
     real_shots, real_vg = opt.run_shots, opt.stacked_value_and_gradient
-    stepping, evaluations = threading.Event(), []
 
     def vg(x, cfg, want_grad=True):
-        evaluations.append(len(x))
+        with evaluations.get_lock():
+            evaluations.value += 1
         stepping.set()
         return real_vg(x, cfg, want_grad)
 
-    def run_shots(cfg, adam, chunk, stop=None):
+    def run_shots(cfg, adam, chunk):
         if bad_seed in chunk:
             assert stepping.wait(timeout=60)
             raise exc
-        return real_shots(cfg, adam, chunk, stop)
+        return real_shots(cfg, adam, chunk)
+
+    def interrupt_when_stepping(main_thread):
+        if stepping.wait(timeout=60):
+            signal.pthread_kill(main_thread, signal.SIGINT)
 
     before = _openblas_threads() if OPENBLAS else None
     monkeypatch.setattr(opt, "blas_threads", lambda: 2)
-    monkeypatch.setattr(opt, "MIN_THREADED_DIM", 0)
     monkeypatch.setattr(opt, "run_shots", run_shots)
     monkeypatch.setattr(opt, "stacked_value_and_gradient", vg)
-    with pytest.raises(type(exc)) as raised:
-        run_batch(small_config(), AdamConfig(steps=steps), seeds)
-    assert raised.value is exc
-    assert 0 < len(evaluations) < steps // 10  # stopped, not run out
-    assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
-    if OPENBLAS:
-        assert _openblas_threads() == before
+    for parallelism in (1, 2):
+        stepping, evaluations = FORK.Event(), FORK.Value("i", 0)
+        if interrupt:
+            threading.Thread(target=interrupt_when_stepping, args=(threading.get_ident(),)).start()
+        with pytest.raises(type(exc)) as raised:
+            run_batch(small_config(), AdamConfig(steps=steps), seeds, parallelism)
+        assert str(raised.value) == str(exc)
+        assert 0 < evaluations.value < steps // 10, parallelism  # stopped, not run out
+        assert multiprocessing.active_children() == []
+        if OPENBLAS:
+            assert _openblas_threads() == before
 
 
-def test_descend_stops_when_asked():
+def test_descend_stops_when_asked(monkeypatch):
     from entgap.optimize import Stopped, descend
 
     stop = threading.Event()
+    monkeypatch.setattr(opt, "_stop", stop)  # as a forked worker's batch sets it
 
     def vg(x):
         stop.set()  # asked during the first step: the second does not start
         return np.sum(x * x, axis=1), 2 * x
 
     with pytest.raises(Stopped, match="step 2"):
-        descend(np.ones((2, 3)), vg, AdamConfig(steps=10), stop)
+        descend(np.ones((2, 3)), vg, AdamConfig(steps=10))
 
 
 def test_descend_aborts_on_nonfinite_objective():
@@ -419,6 +442,7 @@ def test_lockstep_switches_the_hinge_per_row(monkeypatch):
         return values, grads, extras
 
     monkeypatch.setattr(opt, "stacked_value_and_gradient", spy)
+    monkeypatch.setattr(opt, "blas_threads", lambda: 1)  # one worker: this process, where spy logs
     batch = _dicts(run_batch(cfg, adam, seeds))
     monkeypatch.undo()
     assert any(mixed)  # some steps penalize some rows and not others
@@ -438,6 +462,7 @@ def test_seeds_beyond_one_stack_run_in_further_stacks(monkeypatch):
         return real(x, c, want_grad)
 
     monkeypatch.setattr(opt, "stacked_value_and_gradient", spy)
+    monkeypatch.setattr(opt, "blas_threads", lambda: 1)  # one worker: this process, where spy logs
     monkeypatch.setattr(opt, "MAX_STACK", 2)
     assert _dicts(run_batch(cfg, adam, seeds)) == whole
     assert sizes == {1, 2}
@@ -463,7 +488,7 @@ def _point_at_fault(cfg, seed):
 
 
 def _fail_one_row(monkeypatch, kind, bad):
-    """Every stack row that holds the point ``bad`` fails, in whichever stack and thread it is stepped.
+    """Every stack row that holds the point ``bad`` fails, in whichever stack and worker it is stepped.
 
     A shot steps bit for bit as it would alone, so ``bad`` follows its seed through any split.
     """
