@@ -16,7 +16,6 @@ from .states import (
     default_partition,
     equal_superposition,
     partial_trace,
-    permute_and_group,
 )
 
 __version__ = "0.1.0"
@@ -37,7 +36,6 @@ from .optimize import (  # noqa: E402
     ShotRecord,
     SweepRecord,
     adam_step,
-    derive_seed,
     derive_seeds,
     run_batch,
     run_shot,
@@ -55,7 +53,6 @@ __all__ = [
     "SweepRecord",
     "UTParams",
     "adam_step",
-    "derive_seed",
     "derive_seeds",
     "gap",
     "objective_value_and_gradient",
@@ -79,7 +76,6 @@ __all__ = [
     "hermitian_spectrum",
     "max_tmi",
     "partial_trace",
-    "permute_and_group",
     "reflected_entropy",
     "sqrt_density",
     "von_neumann",

@@ -122,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mera", help="gap search over the binary MERA family")
     p.add_argument("--qubits", type=int, choices=(8, 16), default=8)
     p.add_argument("--q", type=float, default=1.0)
-    p.add_argument("--gradient", choices=("fd", "analytic"), default="analytic",
-                   help="fd: central finite differences, the slow oracle for analytic")
+    p.add_argument("--gradient", choices=("analytic",), default="analytic",
+                   help="circuit backpropagation, the only gradient")
     _add_common(p, steps_default=2000)
 
     p = sub.add_parser("bound-check", help="fuzz the q>=2 lower bound on random states")

@@ -22,8 +22,8 @@ few state-sized arrays at a time, whatever the depth; the uncomputed inputs
 differ from the forward ones by rounding only.
 
 Reduced density matrices are always contracted straight from the state
-vector (see ``states.reduced_density_vector``); a 2^16 x 2^16 operator is
-never materialized.
+vector (see ``objective._Marginal``); a 2^16 x 2^16 operator is never
+materialized.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ class MeraLayout:
     """Gate schedule of the binary MERA circuit for a given qubit count."""
 
     num_qubits: int
-    layers: int
     ops: tuple[tuple[int, str], ...]  # (pos, kind) per gate; kind: top/isometry/disentangler
 
     @property
@@ -72,15 +71,13 @@ def mera_layout(num_qubits: int) -> MeraLayout:
         raise ValueError(f"supported qubit counts are 8 and 16, got {num_qubits}")
     ops: list[tuple[int, str]] = [(0, "top")]
     width = 2
-    layers = 1
     while width < num_qubits:
         width *= 2
-        layers += 1
         # isometry i sees 2i qubits already paired, its own qubit, then the
         # not yet paired rest: it sits at position 2i either way
         ops.extend((2 * i, "isometry") for i in range(width // 2))
         ops.extend((2 * i + 1, "disentangler") for i in range(width // 2 - 1))
-    return MeraLayout(num_qubits=num_qubits, layers=layers, ops=tuple(ops))
+    return MeraLayout(num_qubits=num_qubits, ops=tuple(ops))
 
 
 @dataclass(frozen=True)
@@ -202,33 +199,18 @@ def mera_value_and_gradient(
     params: MeraParams,
     cfg: ObjectiveConfig,
     gradient: str = "analytic",
-    fd_step: float = 1e-6,
 ):
-    """Objective value and real gradient over flattened gate parameters.
+    """Objective value and real gradient over flattened gate parameters, by circuit backpropagation."""
+    _check_gradient(gradient)
+    gates = _gate_unitaries(layout, params)
+    amps = _run_circuit(layout, gates[0])
+    value, g_psi, _ = _cached_state_objective(cfg)(amps)
+    return value, _circuit_grad(layout, gates, amps, g_psi)
 
-    ``gradient="analytic"`` (the default) backpropagates through the circuit;
-    ``"fd"`` takes central finite differences over every real component, the
-    oracle the analytic gradient is tested against, and is 200-440x slower.
-    """
-    obj = _cached_state_objective(cfg)
-    if gradient == "analytic":
-        gates = _gate_unitaries(layout, params)
-        amps = _run_circuit(layout, gates[0])
-        value, g_psi, _ = obj(amps)
-        return value, _circuit_grad(layout, gates, amps, g_psi)
-    if gradient != "fd":
-        raise ValueError(f"gradient must be 'fd' or 'analytic', got {gradient!r}")
-    x = _flatten(params)
-    value = mera_objective_value(layout, params, cfg)
-    grad = np.empty_like(x)
-    for i in range(x.shape[0]):
-        xp = x.copy()
-        xp[i] += fd_step
-        vp = mera_objective_value(layout, _unflatten(xp, params.num_gates), cfg)
-        xp[i] -= 2.0 * fd_step
-        vm = mera_objective_value(layout, _unflatten(xp, params.num_gates), cfg)
-        grad[i] = (vp - vm) / (2.0 * fd_step)
-    return value, grad
+
+def _check_gradient(gradient: str) -> None:
+    if gradient != "analytic":
+        raise ValueError(f"gradient must be 'analytic', the only one, got {gradient!r}")
 
 
 def initial_mera_params(layout: MeraLayout, rng: np.random.Generator) -> MeraParams:
@@ -237,13 +219,12 @@ def initial_mera_params(layout: MeraLayout, rng: np.random.Generator) -> MeraPar
     return MeraParams(ent.reshape(layout.num_gates, ENTRIES_PER_GATE))
 
 
-def _mera_shots(layout: MeraLayout, cfg: ObjectiveConfig, adam: AdamConfig, gradient: str,
+def _mera_shots(layout: MeraLayout, cfg: ObjectiveConfig, adam: AdamConfig,
                 seeds: Sequence[int]) -> list[ShotRecord]:
     """MERA shots for the seeds in one lockstep stack, evaluated one row at a time."""
 
     def vg(x: np.ndarray):
-        rows = [mera_value_and_gradient(layout, _unflatten(r, layout.num_gates), cfg, gradient)
-                for r in x]
+        rows = [mera_value_and_gradient(layout, _unflatten(r, layout.num_gates), cfg) for r in x]
         return np.array([v for v, _ in rows]), np.array([g for _, g in rows])
 
     def init(rng: np.random.Generator) -> np.ndarray:
@@ -260,7 +241,8 @@ def run_mera_shot(
     gradient: str = "analytic",
 ) -> ShotRecord:
     """One seeded MERA search shot, run by the same protocol as optimize.run_shot."""
-    return _mera_shots(layout, cfg, adam, gradient, [seed])[0]
+    _check_gradient(gradient)
+    return _mera_shots(layout, cfg, adam, [seed])[0]
 
 
 def run_mera_search(
@@ -272,8 +254,9 @@ def run_mera_search(
     parallelism: int = 1,
 ) -> list[ShotRecord]:
     """Batched MERA shots, results in seed order."""
+    _check_gradient(gradient)
     seeds = list(seeds)
-    return map_chunks(partial(_mera_shots, layout, cfg, adam, gradient), seeds,
+    return map_chunks(partial(_mera_shots, layout, cfg, adam), seeds,
                       worker_count(len(seeds), parallelism))
 
 

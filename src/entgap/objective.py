@@ -45,7 +45,6 @@ from .states import (
     QuditState,
     equal_superposition,
     partial_trace,
-    permute_and_group,
 )
 
 
@@ -150,18 +149,17 @@ def state_from_params(p: UTParams, config: ObjectiveConfig) -> QuditState:
 
 
 def two_party_density(psi: QuditState, partition: PartitionSpec) -> DensityMatrix:
-    """rho_AB of a four-party pure state, with A fused before B."""
+    """rho_AB of a four-party pure state, with A fused before B.
+
+    One contraction of the amplitudes, their sites transposed to party order
+    (A, B, A', B'): the traced A'B' index is the column index of both factors.
+    """
     partition.validate_for(psi.dims)
-    grouped = permute_and_group(
-        psi,
-        [
-            list(partition.a_sites),
-            list(partition.b_sites),
-            list(partition.ap_sites),
-            list(partition.bp_sites),
-        ],
-    )
-    return partial_trace(grouped, (0, 1))
+    sites = psi.dims.sites
+    da = prod(sites[i] for i in partition.a_sites)
+    db = prod(sites[i] for i in partition.b_sites)
+    t = psi.amplitudes.reshape(sites).transpose(partition.all_sites()).reshape(da * db, -1)
+    return DensityMatrix(Dims((da, db)), t @ t.conj().T)
 
 
 class GapProfile:
@@ -314,8 +312,6 @@ class _StateObjective:
     """
 
     def __init__(self, config: ObjectiveConfig):
-        config.partition.validate_for(config.dims)
-        self.config = config
         sites = config.dims.sites
         part = config.partition
         self.q = float(config.q)

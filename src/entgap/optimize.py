@@ -22,10 +22,8 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import multiprocessing
 import os
 import signal
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
 from math import isfinite
@@ -123,13 +121,9 @@ class SweepRecord:
     argmin_state_id: str
 
 
-def derive_seed(master_seed: int, shot_index: int) -> int:
-    """Per-shot seed: master_seed XOR shot_index."""
-    return int(master_seed) ^ int(shot_index)
-
-
 def derive_seeds(master_seed: int, count: int) -> list[int]:
-    return [derive_seed(master_seed, i) for i in range(count)]
+    """Per-shot seeds: master_seed XOR shot_index."""
+    return [int(master_seed) ^ i for i in range(count)]
 
 
 def gaussian_entries(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -384,6 +378,9 @@ def map_chunks(run: Callable[[list], list], seeds: list, workers: int) -> list[S
     with _blas_on_one_thread():  # forked workers inherit the one thread
         if len(chunks) == 1:
             return run(seeds)
+        import multiprocessing  # only a pool pays for these imports
+        from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+
         ctx = multiprocessing.get_context("fork")
         stop = ctx.Event()
         with ProcessPoolExecutor(len(chunks), ctx, _start_worker, (run, stop)) as pool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -184,22 +184,3 @@ def partial_trace(state: QuditState, keep: Sequence[int]) -> DensityMatrix:
     keep = _check_keep(keep, len(state.dims))
     rho = reduced_density_vector(state.amplitudes, state.dims.sites, keep)
     return DensityMatrix(Dims(tuple(state.dims.sites[i] for i in keep)), rho)
-
-
-def permute_and_group(psi: QuditState, groups: Iterable[Sequence[int]]) -> QuditState:
-    """Reorder sites and fuse each group into a single site.
-
-    ``groups`` must partition the site indices; the result has one site per
-    group with dimension equal to the product over the group, and the
-    amplitude vector reordered so that the fused mixed-radix index runs over
-    the group members in the order given.
-    """
-    groups = [tuple(int(i) for i in g) for g in groups]
-    flat = [i for g in groups for i in g]
-    n = len(psi.dims)
-    if sorted(flat) != list(range(n)) or any(len(g) == 0 for g in groups):
-        raise ValueError(f"groups {groups} do not partition sites 0..{n - 1}")
-    sites = psi.dims.sites
-    new_dims = Dims(tuple(prod(sites[i] for i in g) for g in groups))
-    amps = psi.amplitudes.reshape(sites).transpose(flat).reshape(-1)
-    return QuditState(new_dims, amps)

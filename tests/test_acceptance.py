@@ -91,12 +91,12 @@ def test_criterion_fixture_values(num, name, published):
 
 
 def test_criterion_2_grouped_dims_match():
-    # the six-qubit fixture fused to [4,4,2,2] gives identical entropies
-    from entgap.states import permute_and_group
-
+    # the six-qubit fixture fused to [4,4,2,2] gives identical entropies; its
+    # parties A = (0, 1), B = (2, 3), A' = (4,), B' = (5,) are in site order,
+    # so the fused state has the same amplitude vector
     psi, part, expected = load_fixture_state("violation_qubits6.json")
-    fused = permute_and_group(psi, [[0, 1], [2, 3], [4], [5]])
-    assert fused.dims.sites == (4, 4, 2, 2)
+    assert part.all_sites() == tuple(range(6))
+    fused = QuditState(Dims((4, 4, 2, 2)), psi.amplitudes)
     bits = EntropyConfig(log_base="2")
     g = gap(fused, default_partition(fused.dims), 1.0, bits)
     crit("2b", abs(g - expected["gap"]) <= expected["tol_gap"],

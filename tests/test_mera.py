@@ -11,10 +11,13 @@ from entgap.io import shot_to_dict
 from entgap.mera import (
     ENTRIES_PER_GATE,
     MeraParams,
+    _flatten,
+    _unflatten,
     default_mera_partition,
     initial_mera_params,
     mera_layout,
     mera_objective_config,
+    mera_objective_value,
     mera_state,
     mera_state_from_record,
     mera_value_and_gradient,
@@ -30,11 +33,9 @@ from conftest import reference_partial_trace
 
 def test_layout_gate_counts():
     lay8 = mera_layout(8)
-    assert lay8.layers == 3
     assert lay8.num_gates == 11
     assert lay8.num_entries == 110
     lay16 = mera_layout(16)
-    assert lay16.layers == 4
     assert lay16.num_gates == 26
     assert lay16.num_entries == 260
     with pytest.raises(ValueError):
@@ -90,12 +91,26 @@ def test_sixteen_qubit_reduced_density_without_dense_matrix(rng):
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
 
 
+def _central_differences(lay, params, cfg, h):
+    """Value and central differences of the MERA objective over every real coordinate."""
+    x = _flatten(params)
+    grad = np.empty_like(x)
+    for i in range(x.shape[0]):
+        xp = x.copy()
+        xp[i] += h
+        vp = mera_objective_value(lay, _unflatten(xp, params.num_gates), cfg)
+        xp[i] -= 2.0 * h
+        vm = mera_objective_value(lay, _unflatten(xp, params.num_gates), cfg)
+        grad[i] = (vp - vm) / (2.0 * h)
+    return mera_objective_value(lay, params, cfg), grad
+
+
 def test_fd_and_analytic_gradients_agree(rng):
     lay = mera_layout(8)
     cfg = mera_objective_config(8, q=1.0)
     for _ in range(2):
         params = initial_mera_params(lay, rng)
-        v_fd, g_fd = mera_value_and_gradient(lay, params, cfg, "fd", fd_step=1e-5)
+        v_fd, g_fd = _central_differences(lay, params, cfg, 1e-5)
         v_an, g_an = mera_value_and_gradient(lay, params, cfg, "analytic")
         assert v_fd == pytest.approx(v_an, abs=1e-12)
         assert np.all(np.abs(g_fd - g_an) <= np.maximum(1e-5 * np.abs(g_fd), 1e-8))
@@ -112,6 +127,21 @@ def test_gradient_kind_validated(rng):
     cfg = mera_objective_config(8)
     with pytest.raises(ValueError):
         mera_value_and_gradient(lay, initial_mera_params(lay, rng), cfg, "magic")
+
+
+def test_finite_difference_gradient_is_rejected(tmp_path, capsys):
+    lay = mera_layout(8)
+    cfg = mera_objective_config(8)
+    with pytest.raises(ValueError, match="'analytic'"):
+        run_mera_shot(lay, cfg, AdamConfig(steps=1), 0, gradient="fd")
+    with pytest.raises(ValueError, match="'analytic'"):
+        run_mera_search(lay, cfg, AdamConfig(steps=1), [0, 1], gradient="fd", parallelism=2)
+    with pytest.raises(SystemExit) as exc:
+        main(["mera", "--qubits", "8", "--seeds", "1", "--steps", "1", "--gradient", "fd",
+              "--out", str(tmp_path / "fd")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'fd'" in capsys.readouterr().err
+    assert not (tmp_path / "fd").exists()
 
 
 def test_mera_shot_deterministic():

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from entgap.objective import (
     two_party_density,
 )
 from entgap.reflect import reflected_entropy
-from entgap.states import Dims, QuditState, default_partition, equal_superposition, partial_trace
+from entgap.states import (
+    Dims,
+    PartitionSpec,
+    QuditState,
+    default_partition,
+    equal_superposition,
+    partial_trace,
+)
 
 from conftest import (
     antihermitian_to_params,
@@ -28,6 +36,7 @@ from conftest import (
     load_fixture_state,
     params_mapping_uniform_to,
     random_state,
+    reference_partial_trace,
 )
 
 LN2 = math.log(2.0)
@@ -142,6 +151,34 @@ def test_gap_bundled_state_matches_published():
     g = gap(psi, part, 1.0, bits)
     assert abs(g - expected["gap"]) <= expected["tol_gap"]
     assert g < 0.0
+
+
+def _oracle_rho_ab(psi: QuditState, part: PartitionSpec) -> np.ndarray:
+    """rho_AB from the loop oracle on ascending sites, reordered to A's sites then B's, as listed."""
+    keep = sorted(part.a_sites + part.b_sites)
+    rho = reference_partial_trace(psi.amplitudes, psi.dims.sites, keep)
+    kept = [psi.dims.sites[i] for i in keep]
+    order = [keep.index(i) for i in part.a_sites + part.b_sites]
+    n, dk = len(keep), math.prod(kept)
+    return rho.reshape(kept + kept).transpose(order + [n + k for k in order]).reshape(dk, dk)
+
+
+@pytest.mark.parametrize(
+    "sites,parties",
+    [((3, 3, 2, 2), tuple((i,) for i in perm)) for perm in permutations(range(4))]
+    # B' = (1, 2) precedes A' = (4,), and A and B list their sites out of order
+    + [((2,) * 6, ((3, 0), (5,), (4,), (1, 2)))],
+)
+def test_two_party_density_matches_loop_oracle(rng, sites, parties):
+    psi = random_state(Dims(sites), rng)
+    part = PartitionSpec(*parties)
+    rho = two_party_density(psi, part)
+    da = math.prod(sites[i] for i in part.a_sites)
+    db = math.prod(sites[i] for i in part.b_sites)
+    assert rho.dims.sites == (da, db)
+    assert np.max(np.abs(rho.matrix - _oracle_rho_ab(psi, part))) <= 1e-12
+    with pytest.raises(ValueError, match="do not cover"):  # a site left out of every party
+        two_party_density(random_state(Dims(sites + (2,)), rng), part)
 
 
 def test_gap_internal_consistency(rng):

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import re
 import signal
+import subprocess
 import sys
 import threading
 from functools import partial
@@ -162,6 +163,21 @@ def test_shot_workers_run_one_blas_thread():
     assert map_chunks(_openblas_threads_per_seed, [0, 1], 1) == [1, 1]
     assert _openblas_threads() == before  # the calling process keeps its threads
     assert multiprocessing.active_children() == []  # both workers exited
+
+
+def test_only_a_pool_imports_multiprocessing():
+    # this process has imported multiprocessing already, so a fresh one checks
+    code = (
+        "import sys, entgap.cli\n"
+        "from entgap.optimize import map_chunks\n"
+        "assert map_chunks(lambda seeds: seeds, [0], 1) == [0]\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+    )
+    src = str(Path(opt.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_worker_count_is_capped_at_seeds_and_cpus(monkeypatch):

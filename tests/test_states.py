@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entgap.entropy import hermitian_spectrum, von_neumann
+from entgap.entropy import hermitian_spectrum
 from entgap.reflect import sqrt_density
 from entgap.states import (
     DensityMatrix,
@@ -11,7 +11,6 @@ from entgap.states import (
     default_partition,
     equal_superposition,
     partial_trace,
-    permute_and_group,
 )
 
 from conftest import bell_pair, random_state, reference_partial_trace
@@ -128,57 +127,6 @@ def test_partial_trace_input_errors(rng):
         partial_trace(psi, (2, 0))
     with pytest.raises(ValueError):
         partial_trace(psi, ())
-
-
-def test_permute_and_group_identity(rng):
-    psi = random_state(Dims((2, 3, 2)), rng)
-    out = permute_and_group(psi, [[0], [1], [2]])
-    assert np.array_equal(out.amplitudes, psi.amplitudes)
-    assert out.dims.sites == (2, 3, 2)
-
-
-def test_permute_and_group_swap():
-    amps = np.zeros(4)
-    amps[1] = 1.0  # |01>
-    psi = QuditState(Dims((2, 2)), amps)
-    out = permute_and_group(psi, [[1], [0]])
-    want = np.zeros(4)
-    want[2] = 1.0  # |10>
-    assert np.array_equal(out.amplitudes, want)
-
-
-def test_permute_and_group_entropy_invariance(rng):
-    # fusing qubit pairs must not change matching-region marginal entropies
-    psi = random_state(Dims((2, 2, 2, 2, 2, 2)), rng)
-    fused = permute_and_group(psi, [[0, 1], [2, 3], [4], [5]])
-    assert fused.dims.sites == (4, 4, 2, 2)
-    for before, after in [((0, 1), (0,)), ((2, 3), (1,)), ((0, 1, 4), (0, 2))]:
-        s0 = von_neumann(partial_trace(psi, before))
-        s1 = von_neumann(partial_trace(fused, after))
-        assert abs(s0 - s1) < 1e-12
-
-
-def test_permute_and_group_round_trip(rng):
-    psi = random_state(Dims((2, 2, 2, 2, 2, 2)), rng)
-    fwd = permute_and_group(psi, [[4], [5], [0, 1], [2, 3]])
-    # ungroup: fused sites are single sites now; invert the permutation
-    back = permute_and_group(
-        permute_and_group(fwd, [[2], [3], [0], [1]]), [[0], [1], [2], [3]]
-    )
-    # the inverse of moving (4,5) to the front is moving the last two back
-    assert back.dims.total == psi.dims.total
-    restored = permute_and_group(fwd, [[2], [3], [0], [1]])
-    # restored has dims (4,4,2,2) with original order (01)(23)(4)(5)
-    grouped_orig = permute_and_group(psi, [[0, 1], [2, 3], [4], [5]])
-    assert np.max(np.abs(restored.amplitudes - grouped_orig.amplitudes)) < 1e-15
-
-
-def test_permute_and_group_rejects_non_partition(rng):
-    psi = random_state(Dims((2, 2, 2)), rng)
-    with pytest.raises(ValueError):
-        permute_and_group(psi, [[0], [1]])
-    with pytest.raises(ValueError):
-        permute_and_group(psi, [[0], [1], [1, 2]])
 
 
 def test_density_matrix_validation():
