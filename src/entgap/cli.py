@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,10 @@ from .io import (
     parse_state_file,
     read_shots_jsonl,
     verify_state_file,
+    write_curve_csv,
+    write_shots_jsonl,
+    write_sweep_csv,
+    write_tmi_csv,
 )
 from .mera import mera_layout, mera_objective_config, run_mera_search
 from .objective import ObjectiveConfig, gap
@@ -50,13 +55,13 @@ def _parse_dims(text: str) -> Dims:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """start:stop:step, inclusive of stop up to half a step."""
+    """start:stop:step with 0 < start, inclusive of stop up to half a step."""
     try:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}, expected start:stop:step")
-    if not np.isfinite([start, stop, step]).all() or step <= 0 or stop < start:
-        raise argparse.ArgumentTypeError(f"bad grid {text!r}")
+    if not np.isfinite([start, stop, step]).all() or start <= 0 or step <= 0 or stop < start:
+        raise argparse.ArgumentTypeError(f"bad grid {text!r}: Renyi indices must be positive and finite")
     span = (stop - start) / step  # inf when stop - start overflows
     if span >= MAX_GRID_POINTS or round(span) + 1 > MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: more than {MAX_GRID_POINTS} points")
@@ -152,79 +157,69 @@ def _shot_config(args, dims: Dims, q: float, penalty: bool = False, weight: floa
     )
 
 
-def _run_config_dict(args, extra: dict) -> dict:
-    base = {
-        "seeds": args.seeds,
-        "master_seed": args.master_seed,
-        "steps": args.steps,
-        "lr": args.lr,
-        "parallelism": args.parallelism,
-        "log_base": args.log_base,
-    }
-    base.update(extra)
-    return base
+def _finished(records) -> list:
+    """The records that ran; if none did, print each seed's failure note."""
+    finished = [r for r in records if not r.failed]
+    if not finished:
+        for r in records:
+            print(f"seed {r.seed} failed: {r.note}", file=sys.stderr)
+    return finished
 
 
 def _report_best(records, out: Path, what: str) -> int:
     """Print the best objective, named by ``what``; exit 1 with every failure note if none ran."""
-    finished = [r.best_gap for r in records if not r.failed]
+    finished = _finished(records)
     if not finished:
-        for r in records:
-            print(f"seed {r.seed} failed: {r.note}", file=sys.stderr)
         return 1
-    print(f"wrote {out}; best {what}: {min(finished):+.6g}")
+    print(f"wrote {out}; best {what}: {min(r.best_gap for r in finished):+.6g}")
     return 0
+
+
+def _search(args, command: str, run, extra: dict):
+    """Run a search command's batch, then write its shot log and the log's manifest.
+
+    ``run(adam, seeds)`` runs the batch.  Returns the records, the log's path
+    and ``emit_reports`` bound to the log's command, config and worker count,
+    for a further report of the same run.
+    """
+    adam = AdamConfig(learning_rate=args.lr, steps=args.steps)
+    seeds = derive_seeds(args.master_seed, args.seeds)
+    records = run(adam, seeds)
+    config = {"seeds": args.seeds, "master_seed": args.master_seed, "steps": args.steps,
+              "lr": args.lr, "parallelism": args.parallelism, "log_base": args.log_base, **extra}
+    emit = partial(emit_reports, command=command, config=config,
+                   workers=worker_count(len(seeds), args.parallelism))
+    return records, emit(records, write_shots_jsonl, args.out / "shots.jsonl"), emit
 
 
 def _cmd_optimize(args) -> int:
     cfg = _shot_config(args, args.dims, args.q, args.penalty, args.penalty_weight)
-    adam = AdamConfig(learning_rate=args.lr, steps=args.steps)
-    seeds = derive_seeds(args.master_seed, args.seeds)
-    records = run_batch(cfg, adam, seeds, parallelism=args.parallelism)
-    out = emit_reports(
-        records,
-        "shots_jsonl",
-        args.out / "shots.jsonl",
-        command="optimize",
-        config=_run_config_dict(
-            args,
-            {"dims": list(args.dims.sites), "q": args.q, "penalty": args.penalty,
-             "penalty_weight": args.penalty_weight},
-        ),
-        workers=worker_count(len(seeds), args.parallelism),
+    records, out, _ = _search(
+        args, "optimize", lambda adam, seeds: run_batch(cfg, adam, seeds, parallelism=args.parallelism),
+        {"dims": list(args.dims.sites), "q": args.q, "penalty": args.penalty,
+         "penalty_weight": args.penalty_weight},
     )
     objective = "objective (gap + MMI hinge)" if args.penalty else "gap"
     return _report_best(records, out, f"{objective} over {len(records)} shots")
 
 
 def _cmd_sweep(args) -> int:
-    adam = AdamConfig(learning_rate=args.lr, steps=args.steps)
-    seeds = derive_seeds(args.master_seed, args.seeds)
-    all_records = []
-    states: list[QuditState] = []
-    ids: list[str] = []
-    for q in args.train_q:
-        cfg = _shot_config(args, args.dims, q)
-        records = run_batch(cfg, adam, seeds, parallelism=args.parallelism)
-        all_records.extend(records)
-        for rec in records:
-            if not rec.failed:
-                states.append(state_from_record(rec))
-                ids.append(f"q{q:g}/seed{rec.seed}")
-    cfgdict = _run_config_dict(
-        args, {"dims": list(args.dims.sites), "train_q": list(args.train_q),
-               "q_grid": [args.q_grid[0], args.q_grid[-1], len(args.q_grid)]}
+    cfgs = [_shot_config(args, args.dims, q) for q in args.train_q]  # a bad q fails before any shot
+    records, _, emit = _search(
+        args, "sweep",
+        lambda adam, seeds: [r for cfg in cfgs
+                             for r in run_batch(cfg, adam, seeds, parallelism=args.parallelism)],
+        {"dims": list(args.dims.sites), "train_q": list(args.train_q),
+         "q_grid": [args.q_grid[0], args.q_grid[-1], len(args.q_grid)]},
     )
-    workers = worker_count(len(seeds), args.parallelism)
-    shots = emit_reports(all_records, "shots_jsonl", args.out / "shots.jsonl", "sweep", cfgdict,
-                         workers)
-    if not states:
-        return _report_best(all_records, shots, "gap")
-    part = default_partition(args.dims)
+    finished = _finished(records)
+    if not finished:
+        return 1
     sweep = sweep_min_gap(
-        states, args.q_grid, part, EntropyConfig(log_base=args.log_base), ids=ids
+        [state_from_record(r) for r in finished], args.q_grid, default_partition(args.dims),
+        EntropyConfig(log_base=args.log_base), ids=[f"q{r.q_trained:g}/seed{r.seed}" for r in finished],
     )
-    out = emit_reports(sweep, "sweep_csv", args.out / "sweep.csv", "sweep", cfgdict, workers)
+    out = emit(sweep, write_sweep_csv, args.out / "sweep.csv")
     neg = [r for r in sweep if r.min_gap < 0]
     print(f"wrote {out}; min gap is negative at {len(neg)}/{len(sweep)} grid points")
     return 0
@@ -236,17 +231,17 @@ def _cmd_curve(args) -> int:
         print("curve needs exactly one of --state or --shots", file=sys.stderr)
         return 2
     if args.state is not None:
+        if args.seed is not None:
+            print("--seed needs --shots", file=sys.stderr)
+            return 2
         parsed = parse_state_file(args.state)
         psi = parsed.state()
         part = parsed.partition
         label = str(args.state)
     else:
         records = read_shots_jsonl(args.shots)
-        matches = [r for r in records if args.seed is None or r.seed == args.seed]
-        finished = [r for r in matches if not r.failed]
+        finished = _finished([r for r in records if args.seed is None or r.seed == args.seed])
         if not finished:
-            for r in matches:
-                print(f"seed {r.seed} failed: {r.note}", file=sys.stderr)
             wanted = "" if args.seed is None else f" with seed {args.seed}"
             print(f"no finished shot{wanted} in {args.shots}", file=sys.stderr)
             return 2
@@ -256,7 +251,7 @@ def _cmd_curve(args) -> int:
         label = f"{args.shots}:seed{rec.seed}"
     points = state_gap_curve(psi, args.q_grid, part, ecfg)
     out = emit_reports(
-        points, "curve_csv", args.out / "curve.csv", "curve",
+        points, write_curve_csv, args.out / "curve.csv", "curve",
         {"source": label, "log_base": args.log_base,
          "q_grid": [args.q_grid[0], args.q_grid[-1], len(args.q_grid)]},
     )
@@ -283,7 +278,7 @@ def _cmd_tmi(args) -> int:
         print(f"no shots with gap <= {args.threshold} in {args.shots}", file=sys.stderr)
         return 1
     out = emit_reports(
-        rows, "tmi_csv", args.out / "tmi.csv", "tmi",
+        rows, write_tmi_csv, args.out / "tmi.csv", "tmi",
         {"shots": str(args.shots), "threshold": args.threshold, "log_base": args.log_base},
     )
     print(f"wrote {out} ({len(rows)} negative-gap shots)")
@@ -293,14 +288,11 @@ def _cmd_tmi(args) -> int:
 def _cmd_mera(args) -> int:
     layout = mera_layout(args.qubits)
     cfg = mera_objective_config(args.qubits, q=args.q, entropy=EntropyConfig(log_base=args.log_base))
-    adam = AdamConfig(learning_rate=args.lr, steps=args.steps)
-    seeds = derive_seeds(args.master_seed, args.seeds)
-    records = run_mera_search(layout, cfg, adam, seeds, gradient=args.gradient,
-                              parallelism=args.parallelism)
-    out = emit_reports(
-        records, "shots_jsonl", args.out / "shots.jsonl", "mera",
-        _run_config_dict(args, {"qubits": args.qubits, "q": args.q, "gradient": args.gradient}),
-        worker_count(len(seeds), args.parallelism),
+    records, out, _ = _search(
+        args, "mera",
+        lambda adam, seeds: run_mera_search(layout, cfg, adam, seeds, gradient=args.gradient,
+                                            parallelism=args.parallelism),
+        {"qubits": args.qubits, "q": args.q, "gradient": args.gradient},
     )
     return _report_best(records, out, f"gap over {len(records)} MERA shots")
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -226,7 +226,7 @@ def _state_values(psi: QuditState, partition: PartitionSpec) -> list[dict]:
     profile = GapProfile(psi, partition, nats)
     s_r = entropy_from_spectrum(profile.spectrum, 1.0, nats)
     kernel = _cached_state_objective(ObjectiveConfig(psi.dims, partition, entropy=nats))
-    extras = kernel(psi.amplitudes, want_grad=False)[2]
+    extras = {k: v[0] for k, v in kernel(psi.amplitudes[None], want_grad=False)[2].items()}
     i3_terms = [(sign, von_neumann(partial_trace(psi, keep), nats))
                 for keep, sign in pure_tmi_terms(psi.dims, partition)]
     out = []
@@ -381,52 +381,35 @@ def write_tmi_csv(rows: Sequence[tuple[int, float, float]], path: Union[str, Pat
 
 
 # ---------------------------------------------------------------------------
-# manifests and the report dispatcher
+# the report step: an artifact and its manifest
 
 
-def write_manifest(out_path: Union[str, Path], command: str, config: dict,
-                   workers: Optional[int] = None) -> Path:
-    """Drop a replay manifest next to an emitted artifact.
+def emit_reports(records, write: Callable[[Sequence, Path], None], out_path: Union[str, Path],
+                 command: str = "", config: Optional[dict] = None,
+                 workers: Optional[int] = None) -> Path:
+    """Write one report artifact with ``write``, then its replay manifest; returns the artifact path.
 
-    ``blas_threads`` is the OpenBLAS thread budget of the writing process.  A
+    ``write`` is ``write_shots_jsonl``, ``write_sweep_csv``, ``write_curve_csv``
+    or ``write_tmi_csv``.  The manifest, ``<name>.manifest.json``, records
+    ``blas_threads``, the OpenBLAS thread budget of the writing process.  A
     search spends it on worker processes, each running every BLAS call on one
     thread, so its results do not depend on it.  ``workers``, recorded for
     searches, is the worker processes a search ran on
     (``optimize.worker_count``).
     """
+    if not len(records):
+        raise ValueError("records must be non-empty")
     out_path = Path(out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    write(records, out_path)
     manifest = {
         "command": command,
-        "config": _round12(config),
+        "config": _round12(config or {}),
         "version": __version__,
         "blas_threads": blas_threads(),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     if workers is not None:
         manifest["workers"] = workers
-    mpath = out_path.with_name(out_path.name + ".manifest.json")
-    mpath.write_text(json.dumps(manifest, indent=1) + "\n")
-    return mpath
-
-
-def emit_reports(records, kind: str, out_path: Union[str, Path], command: str = "",
-                 config: Optional[dict] = None, workers: Optional[int] = None) -> Path:
-    """Write one report artifact plus its manifest; returns the artifact path.
-
-    Kinds: ``sweep_csv``, ``curve_csv``, ``tmi_csv``, ``shots_jsonl``.
-    """
-    if not len(records):
-        raise ValueError("records must be non-empty")
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    writers = {
-        "sweep_csv": write_sweep_csv,
-        "curve_csv": write_curve_csv,
-        "tmi_csv": write_tmi_csv,
-        "shots_jsonl": write_shots_jsonl,
-    }
-    if kind not in writers:
-        raise ValueError(f"unknown report kind {kind!r}")
-    writers[kind](records, out_path)
-    write_manifest(out_path, command, config or {}, workers)
+    out_path.with_name(out_path.name + ".manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
     return out_path

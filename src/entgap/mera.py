@@ -189,9 +189,8 @@ def _unflatten(vec: np.ndarray, num_gates: int) -> MeraParams:
 
 
 def mera_objective_value(layout: MeraLayout, params: MeraParams, cfg: ObjectiveConfig) -> float:
-    obj = _cached_state_objective(cfg)
-    value, _, _ = obj(mera_state(layout, params).amplitudes, want_grad=False)
-    return value
+    amps = mera_state(layout, params).amplitudes
+    return _cached_state_objective(cfg)(amps[None], want_grad=False)[0][0]
 
 
 def mera_value_and_gradient(
@@ -204,8 +203,8 @@ def mera_value_and_gradient(
     _check_gradient(gradient)
     gates = _gate_unitaries(layout, params)
     amps = _run_circuit(layout, gates[0])
-    value, g_psi, _ = _cached_state_objective(cfg)(amps)
-    return value, _circuit_grad(layout, gates, amps, g_psi)
+    values, g_psi, _ = _cached_state_objective(cfg)(amps[None])
+    return values[0], _circuit_grad(layout, gates, amps, g_psi[0])
 
 
 def _check_gradient(gradient: str) -> None:

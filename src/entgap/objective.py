@@ -171,10 +171,10 @@ class GapProfile:
     """
 
     def __init__(self, psi: QuditState, partition: PartitionSpec, config: EntropyConfig):
-        partition.validate_for(psi.dims)
+        rho_ab = two_party_density(psi, partition)  # first: it checks the partition
         keep = tuple(sorted(partition.a_sites + partition.ap_sites))
         self.s_aap = von_neumann(partial_trace(psi, keep), config)
-        self.spectrum = reflected_spectrum(two_party_density(psi, partition))
+        self.spectrum = reflected_spectrum(rho_ab)
         self.config = config
 
     def gaps(self, q_grid: Sequence[float]) -> np.ndarray:
@@ -307,8 +307,8 @@ class _StateObjective:
 
     Instances cache every site permutation needed for the marginals, so a
     single object can be reused across thousands of optimizer steps.  A call
-    takes one state (N,) or a stack of states (S, N) and treats rows
-    independently: row s of a stack gives bit for bit what state s gives alone.
+    takes a stack of states (S, N), one state being a stack of one, and treats
+    rows independently: row s gives bit for bit what state s gives alone.
     """
 
     def __init__(self, config: ObjectiveConfig):
@@ -333,11 +333,7 @@ class _StateObjective:
             self.i3_terms = [(_Marginal(sites, keep), sign) for keep, sign in terms]
 
     def __call__(self, amps: np.ndarray, want_grad: bool = True):
-        """Return (value, grad_wrt_amps or None, extras dict), one entry per state."""
-        if amps.ndim == 1:
-            value, g_psi, extras = self(amps[None], want_grad)
-            g_psi = None if g_psi is None else g_psi[0]
-            return value[0], g_psi, {k: v[0] for k, v in extras.items()}
+        """Return (values, grads wrt amps or None, extras dict), one row per state."""
         q, log_div = self.q, self.log_div
 
         # every density matrix is dropped after its eigh and every backward

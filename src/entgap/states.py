@@ -156,31 +156,17 @@ def _check_keep(keep: Sequence[int], n_sites: int) -> tuple[int, ...]:
     return keep
 
 
-def reduced_density_vector(
-    amplitudes: np.ndarray, sites: Sequence[int], keep_order: Sequence[int]
-) -> np.ndarray:
-    """Reduced density matrix of a pure state, kept sites in ``keep_order``.
-
-    Contracts the state vector directly into the reduced matrix without
-    materializing the full projector, so it is usable at 16 qubits.  The
-    returned row index is mixed-radix over ``keep_order`` as given (which
-    need not be ascending).
-    """
-    sites = tuple(sites)
-    n = len(sites)
-    rest = [i for i in range(n) if i not in set(keep_order)]
-    perm = list(keep_order) + rest
-    dk = prod(sites[i] for i in keep_order)
-    t = amplitudes.reshape(sites).transpose(perm).reshape(dk, -1)
-    return t @ t.conj().T
-
-
 def partial_trace(state: QuditState, keep: Sequence[int]) -> DensityMatrix:
     """Reduced density matrix of a pure state on ``keep`` (ascending site indices).
 
-    Kept sites retain their original relative order; keeping every site
-    gives the projector |psi><psi|.
+    Contracts the state vector directly into the reduced matrix without
+    materializing the full projector, so it is usable at 16 qubits.  Kept
+    sites retain their original relative order; keeping every site gives the
+    projector |psi><psi|.
     """
     keep = _check_keep(keep, len(state.dims))
-    rho = reduced_density_vector(state.amplitudes, state.dims.sites, keep)
-    return DensityMatrix(Dims(tuple(state.dims.sites[i] for i in keep)), rho)
+    sites = state.dims.sites
+    rest = tuple(i for i in range(len(sites)) if i not in keep)
+    dk = prod(sites[i] for i in keep)
+    t = state.amplitudes.reshape(sites).transpose(keep + rest).reshape(dk, -1)
+    return DensityMatrix(Dims(tuple(sites[i] for i in keep)), t @ t.conj().T)

@@ -319,7 +319,7 @@ def test_criterion_9_penalized_search(tmp_path):
         penalty_enabled=True, penalty_weight=1.0,
     )
     records = run_batch(cfg, AdamConfig(steps=1200), derive_seeds(0, 64))
-    emit_reports(records, "shots_jsonl", tmp_path / "penalized_shots.jsonl",
+    emit_reports(records, write_shots_jsonl, tmp_path / "penalized_shots.jsonl",
                  command="acceptance-9", config={"steps": 1200, "seeds": 64})
     part = default_partition(SEARCH_DIMS)
     gaps, violators, bad = {}, 0, []
@@ -352,7 +352,7 @@ def test_criterion_9_mera_search(tmp_path):
     cfg = mera_objective_config(8, q=1.0)
     records = run_mera_search(layout, cfg, AdamConfig(steps=400),
                               derive_seeds(0, 6), gradient="analytic")
-    emit_reports(records, "shots_jsonl", tmp_path / "mera_shots.jsonl",
+    emit_reports(records, write_shots_jsonl, tmp_path / "mera_shots.jsonl",
                  command="acceptance-9-mera", config={"steps": 400, "seeds": 6})
     best = min(r.best_gap for r in records if not r.failed)
     contradictions = [r.seed for r in records

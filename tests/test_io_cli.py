@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from entgap import __version__
 from entgap.cli import MAX_GRID_POINTS, _parse_grid, main
 from entgap.entropy import EntropyConfig, entropy_from_spectrum, max_tmi
 from entgap.io import (
@@ -18,8 +19,11 @@ from entgap.io import (
     shot_from_dict,
     shot_to_dict,
     verify_state_file,
+    write_curve_csv,
     write_shots_jsonl,
     write_state_file,
+    write_sweep_csv,
+    write_tmi_csv,
 )
 from entgap.objective import GapProfile, ObjectiveConfig, UTParams, _cached_state_objective, gap
 from entgap.optimize import (
@@ -171,7 +175,7 @@ def _independent_values(psi, part, config):
     s_r = entropy_from_spectrum(prof.spectrum, 1.0, config)
     g = prof.s_aap - 0.5 * s_r
     kernel_gap = _cached_state_objective(ObjectiveConfig(psi.dims, part, entropy=config))(
-        psi.amplitudes, want_grad=False)[0]
+        psi.amplitudes[None], want_grad=False)[0][0]
     values = {"s_aap": prof.s_aap, "s_r": s_r, "gap": g, "max_i3": max_tmi(psi, part, config)}
     return values, abs(g - kernel_gap)
 
@@ -294,21 +298,21 @@ def test_csv_writers_golden_bytes(tmp_path):
     # rows sorted on their first column, numbers at 12 significant digits, csv's CRLF line ends
     sweep = [SweepRecord(q=1.0, min_gap=-0.00123456789012345, argmin_state_id="q1/seed0"),
              SweepRecord(q=1 / 3, min_gap=-0.25, argmin_state_id="s1")]
-    emit_reports(sweep, "sweep_csv", tmp_path / "sweep.csv", command="test")
+    emit_reports(sweep, write_sweep_csv, tmp_path / "sweep.csv", command="test")
     assert (tmp_path / "sweep.csv").read_bytes() == (
         b"q,min_gap,state_id\r\n0.333333333333,-0.25,s1\r\n1,-0.00123456789012,q1/seed0\r\n")
 
-    emit_reports([(1.0, -0.002), (0.5, 2 / 3)], "curve_csv", tmp_path / "curve.csv")
+    emit_reports([(1.0, -0.002), (0.5, 2 / 3)], write_curve_csv, tmp_path / "curve.csv")
     assert (tmp_path / "curve.csv").read_bytes() == b"q,gap\r\n0.5,0.666666666667\r\n1,-0.002\r\n"
 
-    emit_reports([(1, -0.002, 0.05), (0, -1e-13, -0.01)], "tmi_csv", tmp_path / "tmi.csv")
+    emit_reports([(1, -0.002, 0.05), (0, -1e-13, -0.01)], write_tmi_csv, tmp_path / "tmi.csv")
     assert (tmp_path / "tmi.csv").read_bytes() == (
         b"seed,gap,max_i3\r\n0,-1e-13,-0.01\r\n1,-0.002,0.05\r\n")
 
 
 def test_emit_reports_writes_manifest(tmp_path):
     records = [SweepRecord(q=1.0, min_gap=0.0, argmin_state_id="s0")]
-    out = emit_reports(records, "sweep_csv", tmp_path / "x.csv",
+    out = emit_reports(records, write_sweep_csv, tmp_path / "x.csv",
                        command="sweep", config={"alpha": 0.1})
     manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
     assert manifest["command"] == "sweep"
@@ -317,15 +321,13 @@ def test_emit_reports_writes_manifest(tmp_path):
     assert manifest["blas_threads"] == blas_threads()
     assert "workers" not in manifest  # only searches run on workers
     assert out.exists()
-    emit_reports(records, "sweep_csv", tmp_path / "y.csv", "sweep", {}, workers=2)
+    emit_reports(records, write_sweep_csv, tmp_path / "y.csv", "sweep", {}, workers=2)
     assert json.loads((tmp_path / "y.csv.manifest.json").read_text())["workers"] == 2
 
 
 def test_emit_reports_validation(tmp_path):
     with pytest.raises(ValueError):
-        emit_reports([], "sweep_csv", tmp_path / "x.csv")
-    with pytest.raises(ValueError):
-        emit_reports([1], "nope", tmp_path / "x.csv")
+        emit_reports([], write_sweep_csv, tmp_path / "x.csv")
 
 
 def test_emit_byte_identical_rerun(tmp_path):
@@ -442,8 +444,14 @@ def test_cli_curve_from_fixture(tmp_path):
     assert len(pts) == 5
 
 
-def test_cli_curve_needs_exactly_one_source(tmp_path):
+def test_cli_curve_needs_exactly_one_source(tmp_path, capsys):
     assert main(["curve", "--out", str(tmp_path)]) == 2
+    # --seed picks a shot of a log; with --state it was silently ignored
+    rc = main(["curve", "--state", str(fixture_path("violation_3322.json")), "--seed", "3",
+               "--out", str(tmp_path / "c")])
+    assert rc == 2
+    assert "--seed needs --shots" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
 
 
 def test_cli_curve_from_shots_skips_failed_shots(tmp_path, capsys):
@@ -484,8 +492,16 @@ def test_cli_bound_check_rejects_nonfinite_q(q, capsys):
     ["sweep", "--dims", "2,2,2,2", "--train-q", "nan"],
     ["mera", "--qubits", "8", "--q", "nan"],
     ["mera", "--qubits", "8", "--lr", "inf"],
+    # sweep trained at q = 1 before it rejected the second q
+    ["sweep", "--dims", "2,2,2,2", "--train-q", "1,nan"],
+    ["sweep", "--dims", "2,2,2,2", "--train-q", "1,-0.5"],
 ])
-def test_cli_rejects_nonfinite_numeric_options(tmp_path, capsys, argv):
+def test_cli_rejects_nonfinite_numeric_options(tmp_path, monkeypatch, capsys, argv):
+    def no_shot(*args, **kwargs):
+        raise AssertionError("a shot ran before the input error")
+
+    monkeypatch.setattr("entgap.cli.run_batch", no_shot)
+    monkeypatch.setattr("entgap.cli.run_mera_search", no_shot)
     assert main(argv + ["--seeds", "1", "--steps", "2", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "shots.jsonl").exists()
@@ -493,10 +509,12 @@ def test_cli_rejects_nonfinite_numeric_options(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("command", ["curve", "sweep"])
 @pytest.mark.parametrize("grid", ["0.1:inf:0.1", "0.1:1:inf", "-inf:1:0.1", "nan:1:0.1",
-                                  "0.1:nan:0.1", "0.1:1:nan", "0.05:1.2:1e-12", "-1e308:1e308:1"])
+                                  "0.1:nan:0.1", "0.1:1:nan", "0.05:1.2:1e-12", "-1e308:1e308:1",
+                                  "0:1:0.5"])
 def test_cli_rejects_nonfinite_q_grid(tmp_path, capsys, command, grid):
     # inf overflowed the point count and a nan step built the grid [nan]: exit 1, traceback.
-    # The last two hold ~1.15e12 points and an inf span: rejected before any point is built.
+    # The next two hold ~1.15e12 points and an inf span: rejected before any point is built.
+    # q = 0 let sweep train and write shots.jsonl before it exited 2.
     source = (["--state", str(fixture_path("violation_3322.json"))] if command == "curve"
               else ["--dims", "2,2,2,2"])
     with pytest.raises(SystemExit) as exc:
@@ -507,9 +525,9 @@ def test_cli_rejects_nonfinite_q_grid(tmp_path, capsys, command, grid):
 
 
 def test_q_grid_point_bound_is_inclusive():
-    assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+    assert len(_parse_grid(f"1:{MAX_GRID_POINTS}:1")) == MAX_GRID_POINTS
     with pytest.raises(argparse.ArgumentTypeError, match="more than"):
-        _parse_grid(f"0:{MAX_GRID_POINTS}:1")
+        _parse_grid(f"1:{MAX_GRID_POINTS + 1}:1")
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
@@ -548,3 +566,64 @@ def test_cli_mera_smoke(tmp_path):
     assert rc == 0
     want = gap(state_from_record(recs[0]), recs[0].partition, 1.0)
     assert dict(read_csv(out / "curve.csv"))[1.0] == pytest.approx(want, abs=1e-11)
+
+
+def test_cli_manifests_record_command_config_and_workers(tmp_path, monkeypatch):
+    # every command's manifest, key for key and in order, timestamps aside.  With a
+    # budget of one BLAS thread, --parallelism 1 and 2 run on different worker counts
+    monkeypatch.setattr("entgap.optimize.blas_threads", lambda: 1)
+    common = ["--seeds", "2", "--steps", "3", "--master-seed", "5", "--lr", "0.02"]
+
+    def run_config(parallelism, log_base="e"):
+        return [("seeds", 2), ("master_seed", 5), ("steps", 3), ("lr", 0.02),
+                ("parallelism", parallelism), ("log_base", log_base)]
+
+    def check(artifact, command, config, workers=None):
+        doc = json.loads(artifact.with_name(artifact.name + ".manifest.json").read_text())
+        keys = ["command", "config", "version", "blas_threads", "timestamp"]
+        assert list(doc) == keys + ([] if workers is None else ["workers"])
+        assert doc["command"] == command and doc["version"] == __version__
+        assert list(doc["config"].items()) == config
+        assert doc["blas_threads"] == blas_threads() and doc.get("workers") == workers
+
+    opt = tmp_path / "opt"
+    assert main(["optimize", "--dims", "2,2,2,2", *common, "--out", str(opt)]) == 0
+    check(opt / "shots.jsonl", "optimize", run_config(1) + [
+        ("dims", [2, 2, 2, 2]), ("q", 1.0), ("penalty", False), ("penalty_weight", 1.0)],
+        1)
+
+    pen = tmp_path / "pen"
+    assert main(["optimize", "--dims", "2,2,2,2", "--q", "0.9", "--penalty", "--penalty-weight", "0.5",
+                 "--log-base", "2", *common, "--out", str(pen)]) == 0
+    check(pen / "shots.jsonl", "optimize", run_config(1, "2") + [
+        ("dims", [2, 2, 2, 2]), ("q", 0.9), ("penalty", True), ("penalty_weight", 0.5)],
+        1)
+
+    sweep = tmp_path / "sweep"
+    assert main(["sweep", "--dims", "2,2,2,2", "--train-q", "0.5,1", "--q-grid", "0.5:1.5:0.5",
+                 *common, "--parallelism", "2", "--out", str(sweep)]) == 0
+    for name in ("shots.jsonl", "sweep.csv"):
+        check(sweep / name, "sweep", run_config(2) + [
+            ("dims", [2, 2, 2, 2]), ("train_q", [0.5, 1.0]), ("q_grid", [0.5, 1.5, 3])],
+            2)
+
+    mera = tmp_path / "mera"
+    assert main(["mera", "--qubits", "8", *common, "--out", str(mera)]) == 0
+    check(mera / "shots.jsonl", "mera", run_config(1) + [
+        ("qubits", 8), ("q", 1.0), ("gradient", "analytic")], 1)
+
+    state = fixture_path("violation_3322.json")
+    assert main(["curve", "--state", str(state), "--q-grid", "0.5:1.5:0.5", "--log-base", "2",
+                 "--out", str(tmp_path / "c1")]) == 0
+    check(tmp_path / "c1" / "curve.csv", "curve",
+          [("source", str(state)), ("log_base", "2"), ("q_grid", [0.5, 1.5, 3])])
+
+    shots = opt / "shots.jsonl"
+    first = read_shots_jsonl(shots)[0].seed
+    assert main(["curve", "--shots", str(shots), "--out", str(tmp_path / "c2")]) == 0
+    check(tmp_path / "c2" / "curve.csv", "curve",
+          [("source", f"{shots}:seed{first}"), ("log_base", "e"), ("q_grid", [0.05, 1.2, 116])])
+
+    assert main(["tmi", "--shots", str(shots), "--threshold", "10", "--out", str(tmp_path / "t")]) == 0
+    check(tmp_path / "t" / "tmi.csv", "tmi",
+          [("shots", str(shots)), ("threshold", 10.0), ("log_base", "e")])

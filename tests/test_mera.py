@@ -26,7 +26,7 @@ from entgap.mera import (
 )
 from entgap.objective import gap
 from entgap.optimize import AdamConfig, state_from_record, worker_count
-from entgap.states import Dims, QuditState, reduced_density_vector
+from entgap.states import Dims, QuditState, partial_trace
 
 from conftest import reference_partial_trace
 
@@ -77,7 +77,7 @@ def test_vector_reduced_density_matches_dense_path(rng):
     lay = mera_layout(8)
     psi = mera_state(lay, initial_mera_params(lay, rng))
     keep = (0, 1, 4, 5)
-    direct = reduced_density_vector(psi.amplitudes, psi.dims.sites, keep)
+    direct = partial_trace(psi, keep).matrix
     dense = reference_partial_trace(psi.amplitudes, psi.dims.sites, keep)
     assert np.max(np.abs(direct - dense)) < 1e-12
 
@@ -85,7 +85,7 @@ def test_vector_reduced_density_matches_dense_path(rng):
 def test_sixteen_qubit_reduced_density_without_dense_matrix(rng):
     lay = mera_layout(16)
     psi = mera_state(lay, initial_mera_params(lay, rng))
-    rho = reduced_density_vector(psi.amplitudes, psi.dims.sites, tuple(range(8)))
+    rho = partial_trace(psi, tuple(range(8))).matrix
     assert rho.shape == (256, 256)
     assert abs(np.trace(rho).real - 1.0) < 1e-10
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12

@@ -6,6 +6,7 @@ import pytest
 
 from entgap.entropy import CLIP_EPS, EntropyConfig, max_tmi, von_neumann
 from entgap.objective import (
+    GapProfile,
     ObjectiveConfig,
     UTParams,
     _entropy_grad_diag,
@@ -181,6 +182,21 @@ def test_two_party_density_matches_loop_oracle(rng, sites, parties):
         two_party_density(random_state(Dims(sites + (2,)), rng), part)
 
 
+def test_gap_profile_checks_its_partition_once(monkeypatch, rng):
+    calls = []
+    check = PartitionSpec.validate_for
+    monkeypatch.setattr(PartitionSpec, "validate_for",
+                        lambda self, dims: calls.append(dims) or check(self, dims))
+    psi = random_state(Dims((3, 3, 2, 2)), rng)
+    GapProfile(psi, default_partition(psi.dims), EntropyConfig())
+    assert len(calls) == 1
+    # A' = (4,) leaves site 3 out: the trace over A A' = (0, 4) would raise IndexError
+    with pytest.raises(ValueError, match="do not cover") as exc:
+        gap(psi, PartitionSpec((0,), (1,), (4,), (2,)))
+    assert not isinstance(exc.value, IndexError)
+    assert len(calls) == 2
+
+
 def test_gap_internal_consistency(rng):
     # gap() rebuilt from independent module calls, exact to 1e-12
     psi = random_state(Dims((3, 3, 2, 2)), rng)
@@ -303,8 +319,8 @@ def test_state_gradient_at_rank_deficient_rho_ab(sites, q):
         psi = random_state(dims, rng).amplitudes
         z = rng.standard_normal(dims.total) + 1j * rng.standard_normal(dims.total)
         z /= np.linalg.norm(z)
-        _, g, _ = obj(psi)
-        want = richardson_slope(lambda t: obj(psi + t * z, want_grad=False)[0])
+        g = obj(psi[None])[1][0]
+        want = richardson_slope(lambda t: obj((psi + t * z)[None], want_grad=False)[0][0])
         assert abs(float(np.vdot(g, z).real) - want) < 1e-10
 
 
@@ -418,10 +434,10 @@ def test_state_objective_stack_rows_equal_single_states(rng):
     obj = _StateObjective(ObjectiveConfig(dims, default_partition(dims), penalty_enabled=True))
     stack = np.stack([random_state(dims, rng).amplitudes for _ in range(5)])
     values, g_psi, extras = obj(stack)
-    for j, amps in enumerate(stack):
-        value, g, ext = obj(amps)
-        assert value == values[j] and np.array_equal(g, g_psi[j])
-        assert ext == {k: v[j] for k, v in extras.items()}
+    for j in range(len(stack)):
+        value, g, ext = obj(stack[j:j + 1])  # state j alone, as a stack of one
+        assert value[0] == values[j] and np.array_equal(g[0], g_psi[j])
+        assert {k: v[0] for k, v in ext.items()} == {k: v[j] for k, v in extras.items()}
 
 
 def test_stacked_kernel_reads_any_row_layout(rng):

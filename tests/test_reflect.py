@@ -194,7 +194,7 @@ def test_gap_matches_mpmath_oracle(name):
     want30, want = _mp_gap(psi, part, 30), _mp_gap(psi, part, 50)
     assert abs(want30 - want) < 1e-25
     g = gap(psi, part)
-    kernel, _, _ = _StateObjective(ObjectiveConfig(psi.dims, part))(psi.amplitudes, want_grad=False)
+    kernel = _StateObjective(ObjectiveConfig(psi.dims, part))(psi.amplitudes[None], want_grad=False)[0][0]
     assert abs(g - want) < 1e-13
     assert abs(kernel - want) < 1e-13
     assert abs(g - want) < 1e-10 * abs(want)
