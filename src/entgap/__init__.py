@@ -32,7 +32,6 @@ from .objective import (  # noqa: E402
 )
 from .optimize import (  # noqa: E402
     AdamConfig,
-    AdamState,
     ShotRecord,
     SweepRecord,
     adam_step,
@@ -46,7 +45,6 @@ from .optimize import (  # noqa: E402
 
 __all__ = [
     "AdamConfig",
-    "AdamState",
     "GapProfile",
     "ObjectiveConfig",
     "ShotRecord",

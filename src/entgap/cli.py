@@ -245,6 +245,11 @@ def _cmd_curve(args) -> int:
             wanted = "" if args.seed is None else f" with seed {args.seed}"
             print(f"no finished shot{wanted} in {args.shots}", file=sys.stderr)
             return 2
+        if args.seed is not None and len(finished) > 1:  # a sweep log holds a seed once per q
+            qs = ", ".join(f"{r.q_trained:g}" for r in finished)
+            print(f"{len(finished)} finished shots with seed {args.seed} in {args.shots}, "
+                  f"trained at q = {qs}", file=sys.stderr)
+            return 2
         rec = finished[0]
         psi = state_from_record(rec)
         part = rec.partition

@@ -1,13 +1,15 @@
 """ADAM descent on the unitary parametrization, batched shots, and q-sweeps.
 
 Shots run in lockstep: :func:`descend` advances a stack of S shots (S, n)
-with one stacked objective call and one :func:`adam_step` call per step,
-tracks each shot's best point and trace, and retires a shot alone when it
-fails.  A batch splits its seeds into contiguous chunks, one per worker
-process (:func:`worker_count`): ``parallelism`` of them when it is above
-one, else one per thread of the OpenBLAS budget (``OPENBLAS_NUM_THREADS``,
-or the library's default), so the budget is spent on shots rather than
-inside BLAS calls.  Every worker runs OpenBLAS on one thread.  A single
+with one stacked objective call and one :func:`adam_step` call per step and
+tracks each shot's best point and trace.  A shot whose evaluation raises,
+or whose objective or gradient is not finite, ends at that step with what
+it found before it and a note of why; the other shots step on.  A batch
+splits its seeds into contiguous chunks, one per worker process
+(:func:`worker_count`): ``parallelism`` of them when it is above one, else
+one per thread of the OpenBLAS budget (``OPENBLAS_NUM_THREADS``, or the
+library's default), so the budget is spent on shots rather than inside
+BLAS calls.  Every worker runs OpenBLAS on one thread.  A single
 worker runs in this process; more are forked (:func:`map_chunks`).
 
 Reproducibility contract: every shot owns a PCG64 generator seeded with its
@@ -62,37 +64,21 @@ class AdamConfig:
             raise ValueError("steps must be >= 1")
 
 
-@dataclass
-class AdamState:
-    """First and second moment accumulators."""
-
-    m: np.ndarray
-    v: np.ndarray
-
-    @staticmethod
-    def zeros(shape) -> "AdamState":
-        return AdamState(np.zeros(shape), np.zeros(shape))
-
-
-NONFINITE_GRADIENT = "non-finite gradient in adam_step"
-
-
 def adam_step(
-    params: np.ndarray, grad: np.ndarray, moment_state: AdamState, t: int, cfg: AdamConfig
-) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected ADAM update on real parameters, one vector or a stack (t >= 1)."""
+    params: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, t: int, cfg: AdamConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bias-corrected ADAM update t >= 1 of real parameters and their moments, one row or a stack."""
     if t < 1:
         raise ValueError("step index t must be >= 1")
-    if params.shape != grad.shape or params.shape != moment_state.m.shape:
+    if params.shape != grad.shape or params.shape != m.shape:
         raise ValueError("parameter, gradient, and moment shapes disagree")
     if not np.all(np.isfinite(grad)):
-        raise FloatingPointError(NONFINITE_GRADIENT)
-    m = ADAM_BETA1 * moment_state.m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * moment_state.v + (1.0 - ADAM_BETA2) * grad * grad
+        raise FloatingPointError("non-finite gradient in adam_step")
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
     m_hat = m / (1.0 - ADAM_BETA1**t)
     v_hat = v / (1.0 - ADAM_BETA2**t)
-    new_params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-    return new_params, AdamState(m, v)
+    return params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON), m, v
 
 
 @dataclass(frozen=True)
@@ -137,7 +123,7 @@ StackValueGrad = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def _evaluate(value_and_grad: StackValueGrad, x: np.ndarray):
-    """Objectives and gradients of the rows of x, and the exception of each row that raised.
+    """Objectives and gradients of the rows of x, and a note for each row that raised.
 
     If the stacked call raises, each row is evaluated alone to find the rows at fault.
     """
@@ -146,15 +132,17 @@ def _evaluate(value_and_grad: StackValueGrad, x: np.ndarray):
         return np.asarray(values, dtype=np.float64), grads, {}
     except Exception:
         pass
-    values, grads, errors = np.full(len(x), np.nan), np.zeros_like(x), {}
+    values, grads, notes = np.full(len(x), np.nan), np.zeros_like(x), {}
     for j in range(len(x)):
         try:
             value, grad = value_and_grad(x[j:j + 1])
+        except FloatingPointError as exc:
+            notes[j] = str(exc)
         except Exception as exc:
-            errors[j] = exc
+            notes[j] = f"{type(exc).__name__}: {exc}"
         else:
             values[j], grads[j] = value[0], grad[0]
-    return values, grads, errors
+    return values, grads, notes
 
 
 class Stopped(Exception):
@@ -166,61 +154,54 @@ class Stopped(Exception):
 _stop = None
 
 
-def descend(x0: np.ndarray, value_and_grad: StackValueGrad, adam: AdamConfig) -> list:
+def descend(x0: np.ndarray, value_and_grad: StackValueGrad, adam: AdamConfig) -> list[tuple]:
     """Run ADAM in lockstep from every row of x0 (S, n), tracking each row's best objective.
 
     ``value_and_grad`` maps a stack of points (k, n) to objectives (k,) and
     gradients (k, n) and must treat rows independently, so a row steps bit for
-    bit as it would alone.  A FloatingPointError or a non-finite objective ends
-    a row early with what it found so far; any other exception, or a
-    non-finite gradient, which adam_step rejects, fails the row outright.
-    Once the worker's batch is stopped, the next step raises :class:`Stopped`.
+    bit as it would alone.  A row whose evaluation raises, or whose objective
+    or gradient is not finite, ends at that step and keeps what it found
+    before it; its note says why.  The other rows step on.  Once the worker's
+    batch is stopped, the next step raises :class:`Stopped`.
 
-    Returns, per row, the exception that failed it or (best_value, best_x,
-    steps_run, trace, failed, note).  The objective is evaluated at the
-    pre-update point of every step, so the trace has one entry per completed
-    step and best_value == min(trace).
+    Returns, per row, (best_value, best_x, steps_run, trace, failed, note).
+    The objective is evaluated at the pre-update point of every step, so the
+    trace has one entry per completed step and best_value == min(trace); a
+    row that ends at step 1 keeps its start point, objective inf and no steps.
     """
     x = np.array(x0, dtype=np.float64)
-    rows = np.arange(x.shape[0])  # the x0 row of each stack row
-    state = AdamState.zeros(x.shape)
-    traces = np.empty((x.shape[0], adam.steps))
-    best = np.full(x.shape[0], np.inf)
+    rows = np.arange(len(x))  # the x0 row of each stack row
+    m, v = np.zeros_like(x), np.zeros_like(x)
+    traces = np.empty((len(x), adam.steps))
+    best = np.full(len(x), np.inf)
     best_x = x.copy()
-    out: list = [None] * x.shape[0]
-
-    def end_row(j: int, t: int, note: str) -> None:
-        i = rows[j]
-        out[i] = (float(best[i]), best_x[i].copy(), t - 1, traces[i, :t - 1].copy(), True, note)
-
+    steps_run = np.full(len(x), adam.steps)
+    notes = [""] * len(x)
     for t in range(1, adam.steps + 1):
         if _stop is not None and _stop.is_set():
             raise Stopped(f"stopped at step {t}")
-        values, grads, errors = _evaluate(value_and_grad, x)
+        values, grads, raised = _evaluate(value_and_grad, x)
         live = np.isfinite(values) & np.all(np.isfinite(grads), axis=1)
         if not live.all():
             for j in np.flatnonzero(~live):
-                exc = errors.get(j)
-                if isinstance(exc, FloatingPointError):
-                    end_row(j, t, str(exc))
-                elif exc is not None:
-                    out[rows[j]] = exc
+                if j in raised:
+                    note = raised[j]
                 elif not np.isfinite(values[j]):
-                    end_row(j, t, f"non-finite objective {float(values[j])!r}")
+                    note = f"non-finite objective {float(values[j])!r}"
                 else:
-                    out[rows[j]] = FloatingPointError(NONFINITE_GRADIENT)
+                    note = "non-finite gradient"
+                steps_run[rows[j]], notes[rows[j]] = t - 1, note
             x, values, grads, rows = x[live], values[live], grads[live], rows[live]
-            state = AdamState(state.m[live], state.v[live])
+            m, v = m[live], v[live]
             if not len(rows):
                 break
         traces[rows, t - 1] = values
         better = values < best[rows]
         best[rows[better]] = values[better]
         best_x[rows[better]] = x[better]
-        x, state = adam_step(x, grads, state, t, adam)
-    for i in rows:
-        out[i] = (float(best[i]), best_x[i].copy(), adam.steps, traces[i].copy(), False, "")
-    return out
+        x, m, v = adam_step(x, grads, m, v, t, adam)
+    return [(float(best[i]), best_x[i].copy(), int(steps_run[i]), traces[i, :steps_run[i]].copy(),
+             bool(steps_run[i] < adam.steps), notes[i]) for i in range(len(best))]
 
 
 # shots stepped as one stack: memory grows with the stack, speed barely past this
@@ -243,26 +224,12 @@ def lockstep_shots(
     for i in range(0, len(seeds), MAX_STACK):
         x0 = np.stack([init(np.random.Generator(np.random.PCG64(s))) for s in seeds[i:i + MAX_STACK]])
         outcomes += descend(x0, value_and_grad, adam)
-    records = []
-    for seed, res in zip(seeds, outcomes):
-        if isinstance(res, Exception):  # failed outright: no steps, objective inf
-            res = (np.inf, np.zeros(x0.shape[1]), 0, np.zeros(0), True,
-                   f"{type(res).__name__}: {res}")
-        best, best_x, steps_run, trace, failed, note = res
-        records.append(ShotRecord(
-            seed=int(seed),
-            dims=cfg.dims.sites,
-            partition=cfg.partition,
-            q_trained=cfg.q,
-            best_gap=float(best),
-            best_params=best_x.view(np.complex128),
-            steps_run=steps_run,
-            objective_trace=trace,
-            failed=failed,
-            note=note,
-            family=family,
-        ))
-    return records
+    return [
+        ShotRecord(seed=int(seed), dims=cfg.dims.sites, partition=cfg.partition, q_trained=cfg.q,
+                   best_gap=best, best_params=best_x.view(np.complex128), steps_run=steps_run,
+                   objective_trace=trace, failed=failed, note=note, family=family)
+        for seed, (best, best_x, steps_run, trace, failed, note) in zip(seeds, outcomes)
+    ]
 
 
 def run_shots(cfg: ObjectiveConfig, adam: AdamConfig, seeds: Sequence[int]) -> list[ShotRecord]:

@@ -470,6 +470,21 @@ def test_cli_curve_from_shots_skips_failed_shots(tmp_path, capsys):
     assert not (tmp_path / "s0").exists()
 
 
+def test_cli_curve_refuses_a_seed_held_once_per_training_q(tmp_path, capsys):
+    # a sweep log holds each seed once per --train-q: --seed alone cannot pick one
+    log = tmp_path / "sweep"
+    assert main(["sweep", "--dims", "2,2,2,2", "--train-q", "0.5,1", "--seeds", "2", "--steps", "30",
+                 "--q-grid", "0.5:1.5:0.5", "--out", str(log)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "curve"
+    rc = main(["curve", "--shots", str(log / "shots.jsonl"), "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "2 finished shots with seed 1 in " in err
+    assert err.endswith("trained at q = 0.5, 1\n")
+    assert not out.exists()
+
+
 def test_cli_bound_check_passes():
     assert main(["bound-check", "--dims", "2,2,2,2", "--samples", "50"]) == 0
     assert main(["bound-check", "--dims", "2,2,2,2", "--q", "1.5"]) == 2

@@ -15,10 +15,9 @@ import pytest
 
 from entgap.entropy import EntropyConfig, entropy_from_spectrum
 from entgap.io import shot_to_dict
-from entgap.objective import ObjectiveConfig, UTParams, gap
+from entgap.objective import ObjectiveConfig, gap
 from entgap.optimize import (
     AdamConfig,
-    AdamState,
     GapProfile,
     adam_step,
     blas_threads,
@@ -43,14 +42,14 @@ def small_config(dims_t=(2, 2, 2, 2), q=1.0):
 
 def test_adam_zero_gradient_no_update():
     params = np.array([1.0, -2.0, 3.0])
-    new, state = adam_step(params, np.zeros(3), AdamState.zeros(3), 1, AdamConfig())
+    new, _, _ = adam_step(params, np.zeros(3), np.zeros(3), np.zeros(3), 1, AdamConfig())
     assert np.array_equal(new, params)
 
 
 def test_adam_first_step_is_signed_lr():
     cfg = AdamConfig(learning_rate=0.01)
     g = np.array([3.0, -0.2, 1e-3])
-    new, _ = adam_step(np.zeros(3), g, AdamState.zeros(3), 1, cfg)
+    new, _, _ = adam_step(np.zeros(3), g, np.zeros(3), np.zeros(3), 1, cfg)
     # first bias-corrected step reduces to -lr * g/(|g| + eps)
     assert np.allclose(new, -cfg.learning_rate * np.sign(g), rtol=1e-4)
 
@@ -58,9 +57,9 @@ def test_adam_first_step_is_signed_lr():
 def test_adam_minimizes_quadratic():
     cfg = AdamConfig(learning_rate=0.1)
     x = np.array([1.0])
-    state = AdamState.zeros(1)
+    m, v = np.zeros(1), np.zeros(1)
     for t in range(1, 501):
-        x, state = adam_step(x, 2.0 * x, state, t, cfg)
+        x, m, v = adam_step(x, 2.0 * x, m, v, t, cfg)
     assert abs(x[0]) < 1e-2
 
 
@@ -71,9 +70,9 @@ def test_adam_validation():
     with pytest.raises(ValueError):
         AdamConfig(steps=0)
     with pytest.raises(ValueError):
-        adam_step(np.zeros(2), np.zeros(2), AdamState.zeros(2), 0, AdamConfig())
+        adam_step(np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2), 0, AdamConfig())
     with pytest.raises(FloatingPointError):
-        adam_step(np.zeros(2), np.array([np.nan, 0.0]), AdamState.zeros(2), 1, AdamConfig())
+        adam_step(np.zeros(2), np.array([np.nan, 0.0]), np.zeros(2), np.zeros(2), 1, AdamConfig())
 
 
 def test_derive_seeds_xor_rule():
@@ -414,8 +413,10 @@ def test_descend_aborts_on_floating_point_error():
         return np.sum(x * x, axis=1), 2.0 * x
 
     ok, bad = descend(np.array([[0.0, 0.3], [1.0, 0.0]]), vg, AdamConfig(steps=10))
-    best, _, steps_run, trace, failed, note = bad
-    assert failed and "blew up" in note
+    best, best_x, steps_run, trace, failed, note = bad
+    assert failed and note == "gradient blew up"
+    # ended at step 1: its start point, objective inf and no steps
+    assert best == np.inf and best_x.tolist() == [1.0, 0.0]
     assert steps_run == 0 and len(trace) == 0
     assert not ok[4] and ok[2] == 10
 
@@ -486,75 +487,99 @@ def test_seeds_beyond_one_stack_run_in_further_stacks(monkeypatch):
 
 FAULT_STEP = 5
 
-
-def _point_at_fault(cfg, seed):
-    """The point shot ``seed`` evaluates at step FAULT_STEP, recorded from a run of it alone."""
-    import entgap.optimize as opt
-
-    real, points = opt.stacked_value_and_gradient, []
-
-    def spy(x, c, want_grad=True):
-        points.append(x[0].copy())
-        return real(x, c, want_grad)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(opt, "stacked_value_and_gradient", spy)
-        run_shot(cfg, AdamConfig(steps=FAULT_STEP), seed)
-    return points[FAULT_STEP - 1]
+# why a row ends, for each fault: every fault keeps what the row found before it
+FAULT_NOTES = {"floating-point": "row blew up", "other": "RuntimeError: boom",
+               "nan-objective": "non-finite objective nan", "nan-gradient": "non-finite gradient"}
 
 
-def _fail_one_row(monkeypatch, kind, bad):
-    """Every stack row that holds the point ``bad`` fails, in whichever stack and worker it is stepped.
+def _faulted(kind, bad, point, value, grad):
+    """``value`` and ``grad`` at ``point``, or the fault ``kind`` when ``point`` is ``bad``."""
+    if not np.array_equal(point, bad):
+        return value, grad
+    if kind == "floating-point":
+        raise FloatingPointError("row blew up")
+    if kind == "other":
+        raise RuntimeError("boom")
+    if kind == "nan-objective":
+        return np.nan, grad
+    grad = grad.copy()
+    grad[0] = np.inf
+    return value, grad
 
-    A shot steps bit for bit as it would alone, so ``bad`` follows its seed through any split.
-    """
-    import entgap.optimize as opt
 
+def _hook_unitary(mp, on_row):
+    """Every row the stacked kernel evaluates passes through ``on_row(point, value, grad)``."""
     real = opt.stacked_value_and_gradient
 
-    def flaky(x, cfg, want_grad=True):
-        hit = [j for j in range(len(x)) if np.array_equal(x[j], bad)]
-        if hit and kind == "floating-point":
-            raise FloatingPointError("row blew up")
-        if hit and kind == "other":
-            raise RuntimeError("boom")
+    def vg(x, cfg, want_grad=True):
         values, grads, extras = real(x, cfg, want_grad)
-        for j in hit:
-            if kind == "nan-objective":
-                values[j] = np.nan
-            else:
-                grads[j, 0] = np.inf
+        for j in range(len(x)):
+            values[j], grads[j] = on_row(x[j], values[j], grads[j])
         return values, grads, extras
 
-    monkeypatch.setattr(opt, "stacked_value_and_gradient", flaky)
+    mp.setattr(opt, "stacked_value_and_gradient", vg)
 
 
-def test_run_batch_records_individual_failures(monkeypatch):
+def _hook_mera(mp, on_row):
+    """Every MERA row, evaluated alone, passes through ``on_row(point, value, grad)``."""
+    import entgap.mera as mera
+
+    real = mera.mera_value_and_gradient
+
+    def vg(layout, params, cfg, gradient="analytic"):
+        return on_row(mera._flatten(params), *real(layout, params, cfg, gradient))
+
+    mp.setattr(mera, "mera_value_and_gradient", vg)
+
+
+def _check_individual_failures(run, hook):
+    """Seed 1 of three faults at step FAULT_STEP, in each way a row can fail.
+
+    ``run(steps, seeds)`` runs a batch of one family and ``hook(mp, on_row)``
+    routes each row it evaluates through ``on_row``.  A shot steps bit for bit
+    as it would alone, so the point seed 1 evaluates at FAULT_STEP, recorded
+    from a run of it alone, finds it in whichever stack and worker it steps.
+    """
     import dataclasses
 
-    import entgap.optimize as opt
+    seeds = [0, 1, 2]
+    clean = _dicts(run(40, seeds))
+    until_fault = run(FAULT_STEP - 1, [1])[0]
+    points = []
 
-    cfg, adam, seeds = small_config(), AdamConfig(steps=40), [0, 1, 2]
-    clean = _dicts(run_batch(cfg, adam, seeds))
-    until_fault = run_shot(cfg, AdamConfig(steps=FAULT_STEP - 1), 1)
-    bad = _point_at_fault(cfg, 1)
-    ended = {"floating-point": "row blew up", "nan-objective": "non-finite objective nan"}
-    failed = {"other": "RuntimeError: boom",
-              "nan-gradient": "FloatingPointError: non-finite gradient in adam_step"}
-    for kind in [*ended, *failed]:
-        _fail_one_row(monkeypatch, kind, bad)
-        records = opt.run_batch(cfg, adam, seeds)
-        monkeypatch.undo()
+    def record(point, value, grad):
+        points.append(point.copy())
+        return value, grad
+
+    with pytest.MonkeyPatch.context() as mp:
+        hook(mp, record)
+        run(FAULT_STEP, [1])
+    bad = points[FAULT_STEP - 1]
+    for kind, note in FAULT_NOTES.items():
+        with pytest.MonkeyPatch.context() as mp:
+            hook(mp, partial(_faulted, kind, bad))
+            records = run(40, seeds)
         assert [r.seed for r in records] == seeds
         assert _dicts([records[0], records[2]]) == [clean[0], clean[2]], kind
-        if kind in ended:  # ended as descend ends a shot: what it found before the faulty step
-            want = dataclasses.replace(until_fault, failed=True, note=ended[kind])
-        else:  # failed outright, as a shot that raised
-            want = dataclasses.replace(
-                until_fault, best_gap=float("inf"), steps_run=0, objective_trace=np.zeros(0),
-                best_params=np.zeros(UTParams.num_entries(16), complex), failed=True, note=failed[kind],
-            )
+        # ended at the faulty step with what it found before it: its steps, trace and best point
+        want = dataclasses.replace(until_fault, failed=True, note=note)
         assert shot_to_dict(records[1]) == shot_to_dict(want), kind
+        assert records[1].steps_run == len(records[1].objective_trace) == FAULT_STEP - 1
+
+
+def test_run_batch_records_individual_failures():
+    cfg = small_config()
+    _check_individual_failures(lambda steps, seeds: run_batch(cfg, AdamConfig(steps=steps), seeds),
+                               _hook_unitary)
+
+
+def test_mera_search_records_individual_failures():
+    from entgap.mera import mera_layout, mera_objective_config, run_mera_search
+
+    layout, cfg = mera_layout(8), mera_objective_config(8)
+    _check_individual_failures(
+        lambda steps, seeds: run_mera_search(layout, cfg, AdamConfig(steps=steps), seeds),
+        _hook_mera)
 
 
 def test_run_batch_rejects_empty():
