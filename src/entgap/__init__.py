@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 from .objective import (  # noqa: E402
     GapProfile,
     ObjectiveConfig,
-    UTParams,
     gap,
     objective_value_and_gradient,
     penalized_gap,
@@ -49,7 +48,6 @@ __all__ = [
     "ObjectiveConfig",
     "ShotRecord",
     "SweepRecord",
-    "UTParams",
     "adam_step",
     "derive_seeds",
     "gap",

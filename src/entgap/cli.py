@@ -241,14 +241,16 @@ def _cmd_curve(args) -> int:
     else:
         records = read_shots_jsonl(args.shots)
         finished = _finished([r for r in records if args.seed is None or r.seed == args.seed])
+        wanted = "" if args.seed is None else f" with seed {args.seed}"
         if not finished:
-            wanted = "" if args.seed is None else f" with seed {args.seed}"
             print(f"no finished shot{wanted} in {args.shots}", file=sys.stderr)
             return 2
-        if args.seed is not None and len(finished) > 1:  # a sweep log holds a seed once per q
-            qs = ", ".join(f"{r.q_trained:g}" for r in finished)
-            print(f"{len(finished)} finished shots with seed {args.seed} in {args.shots}, "
-                  f"trained at q = {qs}", file=sys.stderr)
+        # a sweep log holds each seed once per training q, so its first
+        # record picks no q, and a seed held twice picks no record
+        qs = list(dict.fromkeys(r.q_trained for r in finished))
+        if len(qs) > 1 or (args.seed is not None and len(finished) > 1):
+            print(f"{len(finished)} finished shots{wanted} in {args.shots}, "
+                  f"trained at q = {', '.join(f'{q:g}' for q in qs)}", file=sys.stderr)
             return 2
         rec = finished[0]
         psi = state_from_record(rec)
@@ -286,7 +288,7 @@ def _cmd_tmi(args) -> int:
         rows, write_tmi_csv, args.out / "tmi.csv", "tmi",
         {"shots": str(args.shots), "threshold": args.threshold, "log_base": args.log_base},
     )
-    print(f"wrote {out} ({len(rows)} negative-gap shots)")
+    print(f"wrote {out} ({len(rows)} shots with gap <= {args.threshold})")
     return 0
 
 

@@ -90,8 +90,6 @@ class MeraParams:
         ent = np.asarray(self.entries, dtype=np.complex128).copy()
         if ent.ndim != 2 or ent.shape[1] != ENTRIES_PER_GATE:
             raise ValueError(f"expected shape (num_gates, {ENTRIES_PER_GATE}), got {ent.shape}")
-        if not np.all(np.isfinite(ent)):
-            raise ValueError("gate parameters must be finite")
         ent.setflags(write=False)
         object.__setattr__(self, "entries", ent)
 

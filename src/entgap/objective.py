@@ -49,28 +49,6 @@ from .states import (
 
 
 @dataclass(frozen=True)
-class UTParams:
-    """Row-major upper triangle (diagonal included) of the generator matrix M."""
-
-    d: int
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        ent = np.asarray(self.entries, dtype=np.complex128).reshape(-1).copy()
-        object.__setattr__(self, "entries", ent)
-        want = self.d * (self.d + 1) // 2
-        if ent.shape[0] != want:
-            raise ValueError(f"expected {want} entries for d={self.d}, got {ent.shape[0]}")
-        if not np.all(np.isfinite(ent)):
-            raise ValueError("parameter entries must be finite")
-        ent.setflags(write=False)
-
-    @staticmethod
-    def num_entries(d: int) -> int:
-        return d * (d + 1) // 2
-
-
-@dataclass(frozen=True)
 class ObjectiveConfig:
     """Everything needed to evaluate the (penalized) gap of a parametrized state."""
 
@@ -111,10 +89,17 @@ def _unitaries(x: np.ndarray, d: int):
     """U = exp(M - M^dag) of real parameter rows x (..., d(d+1)), via eigh of H = i(M - M^dag).
 
     A real row is its packed complex entries viewed as float64, i.e.
-    interleaved (re, im) pairs.  Returns (U, theta, V) with
-    H = V diag(theta) V^dag and U = V diag(exp(-i theta)) V^dag.
+    interleaved (re, im) pairs.  Every parameter row passes here, so this is
+    where a row of the wrong length or with non-finite entries raises
+    ValueError.  Returns (U, theta, V) with H = V diag(theta) V^dag and
+    U = V diag(exp(-i theta)) V^dag.
     """
-    m = _generator(np.ascontiguousarray(x, dtype=np.float64).view(np.complex128), d)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.shape[-1] != d * (d + 1):
+        raise ValueError(f"expected {d * (d + 1)} real parameters for d={d}, got {x.shape[-1]}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("parameter entries must be finite")
+    m = _generator(x.view(np.complex128), d)
     theta, v = np.linalg.eigh(1j * (m - _dagger(m)))
     u = (v * np.exp(-1j * theta)[..., None, :]) @ _dagger(v)
     return u, theta, v
@@ -139,13 +124,10 @@ def _parameter_gradient(theta: np.ndarray, v: np.ndarray, g_u: np.ndarray) -> np
     return np.ascontiguousarray(-2j * g_h[..., rows, cols]).view(np.float64)
 
 
-def state_from_params(p: UTParams, config: ObjectiveConfig) -> QuditState:
-    """Apply the parametrized unitary to the equal superposition."""
-    if p.d != config.dims.total:
-        raise ValueError(f"parameter dimension {p.d} does not match dims {config.dims.sites}")
-    u = _unitaries(p.entries.view(np.float64), p.d)[0]
-    chi = equal_superposition(config.dims).amplitudes
-    return QuditState(config.dims, u @ chi)
+def state_from_params(x: np.ndarray, config: ObjectiveConfig) -> QuditState:
+    """Apply the unitary of the real parameter row x (d(d+1),) to the equal superposition."""
+    u = _unitaries(x, config.dims.total)[0]
+    return QuditState(config.dims, u @ _chi(config.dims))
 
 
 def two_party_density(psi: QuditState, partition: PartitionSpec) -> DensityMatrix:
@@ -254,6 +236,18 @@ class _Marginal:
         g_t = 2.0 * (g_rho @ t)
         return g_t.reshape(self.kept_shape).transpose(self.inv_axes).reshape(len(g_t), -1)
 
+    def entropy(self, amps: np.ndarray, q: float, log_div: float):
+        """Entropies (S,), their derivatives on the eigenvalues, the eigenvectors and T."""
+        rho, t = self.forward(amps)
+        lam, w = np.linalg.eigh(rho)
+        del rho
+        value, g = _entropy_grad_diag(lam, q, log_div)
+        return value, g, w, t
+
+    def pullback(self, g: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The amplitude gradient of a function with derivatives g on the eigenvalues of rho."""
+        return self.backward((w * g[:, None, :]) @ _dagger(w), t)
+
 
 def _suffix_sum(terms: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Each row's sum of terms[start:], added as np.sum adds that slice alone.
@@ -338,10 +332,7 @@ class _StateObjective:
 
         # every density matrix is dropped after its eigh and every backward
         # operand after use, so that few (S, d, d) arrays are alive at once
-        rho1, t1 = self.marg_aap.forward(amps)
-        lam1, w1 = np.linalg.eigh(rho1)
-        del rho1
-        s_aap, g1 = _entropy_grad_diag(lam1, 1.0, log_div)
+        s_aap, g1, w1, t1 = self.marg_aap.entropy(amps, 1.0, log_div)
 
         rho_ab, t_ab = self.marg_ab.forward(amps)
         mu, vr = np.linalg.eigh(rho_ab)
@@ -354,11 +345,8 @@ class _StateObjective:
         x = (vr * root[:, None, :]) @ _dagger(vr)
         phi = x.reshape(len(x), -1)
 
-        rho2, t2 = self.marg_ref.forward(phi)
+        s_ref, g2, w2, t2 = self.marg_ref.entropy(phi, q, log_div)
         del x, phi
-        lam2, w2 = np.linalg.eigh(rho2)
-        del rho2
-        s_ref, g2 = _entropy_grad_diag(lam2, q, log_div)
 
         gap_value = s_aap - 0.5 * s_ref
         value = gap_value
@@ -368,10 +356,7 @@ class _StateObjective:
         if self.penalty:
             m_i3, pen = -s_aap, []
             for marg, sign in self.i3_terms:
-                rho_s, t_s = marg.forward(amps)
-                lam_s, w_s = np.linalg.eigh(rho_s)
-                del rho_s
-                s_val, g_s = _entropy_grad_diag(lam_s, 1.0, log_div)
+                s_val, g_s, w_s, t_s = marg.entropy(amps, 1.0, log_div)
                 m_i3 = m_i3 + sign * s_val
                 pen.append((marg, sign * g_s, w_s, t_s))
             extras["max_tmi"] = m_i3
@@ -388,13 +373,10 @@ class _StateObjective:
 
         if hinge is not None:
             g1 = np.where(hinge[:, None], (1.0 - self.weight) * g1, g1)  # the hinge's -weight * S_AA'
-        g_rho1 = (w1 * g1[:, None, :]) @ _dagger(w1)
-        g_psi = self.marg_aap.backward(g_rho1, t1)
-        del g_rho1, t1, w1
-
-        g_rho2 = (w2 * (-0.5 * g2)[:, None, :]) @ _dagger(w2)
-        g_phi = self.marg_ref.backward(g_rho2, t2)
-        del g_rho2, t2, w2
+        g_psi = self.marg_aap.pullback(g1, w1, t1)
+        del t1, w1
+        g_phi = self.marg_ref.pullback(-0.5 * g2, w2, t2)
+        del t2, w2
         g_x = g_phi.reshape(-1, self.d_ab, self.d_ab)
         g_x = 0.5 * (g_x + _dagger(g_x))
         k = _sqrt_dk_matrix(root)
@@ -406,8 +388,7 @@ class _StateObjective:
         if hinge is not None:
             g_pen = g_psi
             for marg, g_s, w_s, t_s in pen:
-                g_rho_s = (w_s * (self.weight * g_s)[:, None, :]) @ _dagger(w_s)
-                g_pen = g_pen + marg.backward(g_rho_s, t_s)
+                g_pen = g_pen + marg.pullback(self.weight * g_s, w_s, t_s)
             g_psi = np.where(hinge[:, None], g_pen, g_psi)
 
         if not np.all(np.isfinite(g_psi)):
@@ -427,19 +408,15 @@ def _chi(dims: Dims) -> np.ndarray:
     return chi
 
 
-def objective_value_and_gradient(
-    p: UTParams, config: ObjectiveConfig, want_grad: bool = True
-):
-    """Objective value, its gradient, and diagnostic extras of one parameter point.
+def objective_value_and_gradient(x: np.ndarray, config: ObjectiveConfig, want_grad: bool = True):
+    """Objective value, its gradient, and diagnostic extras of one real parameter row x.
 
-    The gradient is a real vector of length d(d+1): interleaved
-    (d/dRe, d/dIm) pairs for each upper-triangular entry of M in row-major
+    x and the gradient are real vectors of length d(d+1): interleaved
+    (re, im) pairs for each upper-triangular entry of M in row-major
     order.  Raises FloatingPointError on non-finite intermediates.  This is
     the stacked kernel of :func:`stacked_value_and_gradient` on a stack of one.
     """
-    if p.d != config.dims.total:
-        raise ValueError(f"parameter dimension {p.d} does not match dims {config.dims.sites}")
-    values, grads, extras = stacked_value_and_gradient(p.entries.view(np.float64)[None], config, want_grad)
+    values, grads, extras = stacked_value_and_gradient(np.asarray(x)[None], config, want_grad)
     grad = None if grads is None else grads[0]
     return float(values[0]), grad, {k: float(v[0]) for k, v in extras.items()}
 
@@ -447,14 +424,12 @@ def objective_value_and_gradient(
 def stacked_value_and_gradient(x: np.ndarray, config: ObjectiveConfig, want_grad: bool = True):
     """Objective values (S,), gradients (S, d(d+1)) and extras of S parameter points.
 
-    ``x`` holds one real parameter vector per row, laid out as the gradient of
-    :func:`objective_value_and_gradient`.  Rows are independent: each one's
-    results are bit for bit those of the row evaluated alone.  Raises
-    ValueError on non-finite parameters and FloatingPointError on non-finite
+    ``x`` holds one real parameter row per point, laid out as the gradient.
+    Rows are independent: each one's results are bit for bit those of the
+    row evaluated alone.  Raises ValueError on rows of the wrong length or
+    with non-finite entries and FloatingPointError on non-finite
     intermediates in any row.
     """
-    if not np.all(np.isfinite(x)):
-        raise ValueError("parameter entries must be finite")
     u, theta, v = _unitaries(x, config.dims.total)
     chi = _chi(config.dims)
     psi = u @ chi

@@ -38,7 +38,6 @@ from .entropy import EntropyConfig
 from .objective import (
     GapProfile,
     ObjectiveConfig,
-    UTParams,
     stacked_value_and_gradient,
     state_from_params,
 )
@@ -241,7 +240,7 @@ def run_shots(cfg: ObjectiveConfig, adam: AdamConfig, seeds: Sequence[int]) -> l
         return values, grads
 
     def init(rng: np.random.Generator) -> np.ndarray:
-        return gaussian_entries(UTParams.num_entries(d), d, rng).view(np.float64)
+        return gaussian_entries(d * (d + 1) // 2, d, rng).view(np.float64)
 
     return lockstep_shots(cfg, adam, seeds, init, vg, "unitary")
 
@@ -406,4 +405,4 @@ def state_from_record(record: ShotRecord) -> QuditState:
 
         return mera_state_from_record(record)
     cfg = ObjectiveConfig(Dims(record.dims), record.partition, q=record.q_trained)
-    return state_from_params(UTParams(cfg.dims.total, record.best_params), cfg)
+    return state_from_params(np.asarray(record.best_params, dtype=np.complex128).view(np.float64), cfg)

@@ -78,14 +78,12 @@ def reference_tmi(psi: QuditState, x, y, z) -> float:
     return s(x) + s(y) + s(z) - s(x + y) - s(x + z) - s(y + z) + s(x + y + z)
 
 
-def antihermitian_to_params(a: np.ndarray):
-    """Packed upper-triangular M with M - M^dag == a (a must be anti-Hermitian)."""
-    from entgap.objective import UTParams
-
+def antihermitian_to_params(a: np.ndarray) -> np.ndarray:
+    """The real parameter row of the upper-triangular M with M - M^dag == a (a anti-Hermitian)."""
     d = a.shape[0]
     m = np.triu(a, 1) + np.diag(np.diag(a) / 2.0)
     rows, cols = np.triu_indices(d)
-    return UTParams(d, m[rows, cols])
+    return m[rows, cols].view(np.float64)
 
 
 def params_mapping_uniform_to(target: np.ndarray):

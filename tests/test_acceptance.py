@@ -33,7 +33,6 @@ from entgap.io import (
 from entgap.mera import mera_layout, mera_objective_config, run_mera_search
 from entgap.objective import (
     ObjectiveConfig,
-    UTParams,
     gap,
     objective_value_and_gradient,
 )
@@ -270,24 +269,24 @@ def test_criterion_8_gradient_oracle():
     for dims_t in [(2, 2, 2, 2), (3, 3, 2, 2)]:
         dims = Dims(dims_t)
         d = dims.total
-        n = UTParams.num_entries(d)
+        n = d * (d + 1) // 2
         for point in range(20):
             q = qs[point % len(qs)]
             cfg = ObjectiveConfig(dims, default_partition(dims), q=q)
             raw = rng.standard_normal(2 * n)
-            p = UTParams(d, (raw[0::2] + 1j * raw[1::2]) / np.sqrt(2.0 * d))
-            g = objective_value_and_gradient(p, cfg)[1]
+            p = (raw[0::2] + 1j * raw[1::2]) / np.sqrt(2.0 * d)  # M's entries; the row is their float64 view
+            g = objective_value_and_gradient(p.view(np.float64), cfg)[1]
             fd = np.empty_like(g)
             for k in range(n):
                 for comp in range(2):
                     delta = h if comp == 0 else 1j * h
-                    ep = p.entries.copy()
+                    ep = p.copy()
                     ep[k] += delta
-                    em = p.entries.copy()
+                    em = p.copy()
                     em[k] -= delta
                     fd[2 * k + comp] = (
-                        objective_value_and_gradient(UTParams(d, ep), cfg, want_grad=False)[0]
-                        - objective_value_and_gradient(UTParams(d, em), cfg, want_grad=False)[0]
+                        objective_value_and_gradient(ep.view(np.float64), cfg, want_grad=False)[0]
+                        - objective_value_and_gradient(em.view(np.float64), cfg, want_grad=False)[0]
                     ) / (2.0 * h)
             err = np.abs(g - fd)
             bad = err > np.maximum(1e-5 * np.abs(fd), 1e-8)

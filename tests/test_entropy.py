@@ -15,7 +15,6 @@ from entgap.entropy import (
 )
 from entgap.objective import (
     ObjectiveConfig,
-    UTParams,
     objective_value_and_gradient,
     state_from_params,
 )
@@ -228,9 +227,8 @@ def test_pure_state_max_tmi_matches_four_triple_oracle(rng, sites, part):
     dims = Dims(sites)
     part = part or default_partition(dims)
     cfg = ObjectiveConfig(dims, part, penalty_enabled=True)
-    n = UTParams.num_entries(dims.total)
-    raw = rng.standard_normal(2 * n)
-    p = UTParams(dims.total, (raw[0::2] + 1j * raw[1::2]) / np.sqrt(2.0 * dims.total))
+    raw = rng.standard_normal(dims.total * (dims.total + 1))
+    p = ((raw[0::2] + 1j * raw[1::2]) / np.sqrt(2.0 * dims.total)).view(np.float64)
     psi = state_from_params(p, cfg)
     parties = (part.a_sites, part.b_sites, part.ap_sites, part.bp_sites)
     ref = max(reference_tmi(psi, *t) for t in combinations(parties, 3))

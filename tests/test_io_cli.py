@@ -25,7 +25,7 @@ from entgap.io import (
     write_sweep_csv,
     write_tmi_csv,
 )
-from entgap.objective import GapProfile, ObjectiveConfig, UTParams, _cached_state_objective, gap
+from entgap.objective import GapProfile, ObjectiveConfig, _cached_state_objective, gap
 from entgap.optimize import (
     AdamConfig,
     ShotRecord,
@@ -372,8 +372,8 @@ def test_cli_tmi_filters_on_the_rebuilt_gap(tmp_path):
     chi = np.full(dims.total, 1.0 / np.sqrt(dims.total))
     y = psi.amplitudes * np.exp(-1j * np.angle(np.vdot(chi, psi.amplitudes)))
     v = (chi - y) / np.linalg.norm(chi - y)
-    fixture_params = antihermitian_to_params(1j * np.pi * np.outer(v, v.conj())).entries
-    uniform_params = np.zeros(UTParams.num_entries(dims.total), dtype=np.complex128)
+    fixture_params = antihermitian_to_params(1j * np.pi * np.outer(v, v.conj())).view(np.complex128)
+    uniform_params = np.zeros(dims.total * (dims.total + 1) // 2, dtype=np.complex128)
     shots = tmp_path / "shots.jsonl"
     write_shots_jsonl([record(3, 1.0, fixture_params), record(4, -1.0, uniform_params)], shots)
     rebuilt = state_from_record(read_shots_jsonl(shots)[0])
@@ -477,12 +477,24 @@ def test_cli_curve_refuses_a_seed_held_once_per_training_q(tmp_path, capsys):
                  "--q-grid", "0.5:1.5:0.5", "--out", str(log)]) == 0
     capsys.readouterr()
     out = tmp_path / "curve"
-    rc = main(["curve", "--shots", str(log / "shots.jsonl"), "--seed", "1", "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "2 finished shots with seed 1 in " in err
-    assert err.endswith("trained at q = 0.5, 1\n")
-    assert not out.exists()
+    # without --seed, the first finished record would pick seed 0 at q = 0.5
+    for pick, held in ((["--seed", "1"], "2 finished shots with seed 1 in "), ([], "4 finished shots in ")):
+        rc = main(["curve", "--shots", str(log / "shots.jsonl"), *pick, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert held in err
+        assert err.endswith("trained at q = 0.5, 1\n")
+        assert not out.exists()
+
+
+def test_cli_curve_refuses_a_truncated_parameter_row(tmp_path, capsys):
+    log = tmp_path / "log"
+    assert main(["optimize", "--dims", "3,3,2,2", "--seeds", "1", "--steps", "2", "--out", str(log)]) == 0
+    rec = read_shots_jsonl(log / "shots.jsonl")[0]
+    write_shots_jsonl([replace(rec, best_params=rec.best_params[:-1])], log / "cut.jsonl")
+    capsys.readouterr()
+    assert main(["curve", "--shots", str(log / "cut.jsonl"), "--out", str(tmp_path / "curve")]) == 2
+    assert capsys.readouterr().err == "error: expected 1332 real parameters for d=36, got 1330\n"
 
 
 def test_cli_bound_check_passes():

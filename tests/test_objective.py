@@ -8,7 +8,6 @@ from entgap.entropy import CLIP_EPS, EntropyConfig, max_tmi, von_neumann
 from entgap.objective import (
     GapProfile,
     ObjectiveConfig,
-    UTParams,
     _entropy_grad_diag,
     _StateObjective,
     _generator,
@@ -43,34 +42,29 @@ from conftest import (
 LN2 = math.log(2.0)
 
 
-def random_params(d: int, rng) -> UTParams:
-    n = UTParams.num_entries(d)
-    raw = rng.standard_normal(2 * n)
-    return UTParams(d, (raw[0::2] + 1j * raw[1::2]) / np.sqrt(2.0 * d))
+def random_params(d: int, rng) -> np.ndarray:
+    """A real parameter row: d(d+1)/2 complex entries of std 1/sqrt(d), viewed as float64."""
+    raw = rng.standard_normal(d * (d + 1))
+    return ((raw[0::2] + 1j * raw[1::2]) / np.sqrt(2.0 * d)).view(np.float64)
 
 
-def objective_value(p: UTParams, cfg: ObjectiveConfig) -> float:
-    return objective_value_and_gradient(p, cfg, want_grad=False)[0]
+def objective_value(x: np.ndarray, cfg: ObjectiveConfig) -> float:
+    return objective_value_and_gradient(x, cfg, want_grad=False)[0]
 
 
-def unitary(p: UTParams) -> np.ndarray:
-    return _unitaries(p.entries.view(np.float64), p.d)[0]
+def unitary(x: np.ndarray, d: int) -> np.ndarray:
+    return _unitaries(x, d)[0]
 
 
-def fd_gradient(p: UTParams, cfg: ObjectiveConfig, h: float = 1e-5) -> np.ndarray:
+def fd_gradient(x: np.ndarray, cfg: ObjectiveConfig, h: float = 1e-5) -> np.ndarray:
     """Independent central-difference oracle over all real components."""
-    base = p.entries
-    out = np.empty(2 * base.shape[0])
-    for k in range(base.shape[0]):
-        for comp in range(2):
-            delta = h if comp == 0 else 1j * h
-            ep = base.copy()
-            ep[k] += delta
-            em = base.copy()
-            em[k] -= delta
-            vp = objective_value(UTParams(p.d, ep), cfg)
-            vm = objective_value(UTParams(p.d, em), cfg)
-            out[2 * k + comp] = (vp - vm) / (2.0 * h)
+    out = np.empty(len(x))
+    for k in range(len(x)):
+        ep = x.copy()
+        ep[k] += h
+        em = x.copy()
+        em[k] -= h
+        out[k] = (objective_value(ep, cfg) - objective_value(em, cfg)) / (2.0 * h)
     return out
 
 
@@ -88,28 +82,25 @@ def richardson_slope(f, h: float = 1e-3) -> float:
 
 
 def test_unitary_zero_params_is_identity():
-    p = UTParams(4, np.zeros(10))
-    assert np.max(np.abs(unitary(p) - np.eye(4))) < 1e-14
+    assert np.max(np.abs(unitary(np.zeros(20), 4) - np.eye(4))) < 1e-14
 
 
 def test_unitary_two_level_rotation():
     theta = 0.4
-    p = UTParams(2, np.array([0.0, theta, 0.0], dtype=complex))
+    x = np.array([0.0, 0.0, theta, 0.0, 0.0, 0.0])  # M's entries (0, theta, 0) as (re, im) pairs
     want = np.array([[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]])
-    assert np.max(np.abs(unitary(p) - want)) < 1e-12
+    assert np.max(np.abs(unitary(x, 2) - want)) < 1e-12
 
 
 def test_unitary_is_unitary_d36(rng):
-    p = random_params(36, rng)
-    u = unitary(p)
+    u = unitary(random_params(36, rng), 36)
     assert np.max(np.abs(u @ u.conj().T - np.eye(36))) < 1e-10
 
 
 def test_state_from_params_zero_is_uniform():
     dims = Dims((2, 2, 2, 2))
     cfg = ObjectiveConfig(dims, default_partition(dims))
-    p = UTParams(16, np.zeros(UTParams.num_entries(16)))
-    psi = state_from_params(p, cfg)
+    psi = state_from_params(np.zeros(16 * 17), cfg)
     assert np.max(np.abs(psi.amplitudes - equal_superposition(dims).amplitudes)) < 1e-14
 
 
@@ -124,11 +115,11 @@ def test_real_diagonal_shift_leaves_state_unchanged(rng):
     dims = Dims((2, 2, 2, 2))
     cfg = ObjectiveConfig(dims, default_partition(dims))
     p = random_params(16, rng)
-    shifted = p.entries.copy()
+    shifted = p.view(np.complex128).copy()
     rows, cols = np.triu_indices(16)
     shifted[rows == cols] += 0.37  # real shift on the diagonal of M
     psi0 = state_from_params(p, cfg)
-    psi1 = state_from_params(UTParams(16, shifted), cfg)
+    psi1 = state_from_params(shifted.view(np.float64), cfg)
     assert np.max(np.abs(psi0.amplitudes - psi1.amplitudes)) < 1e-10
 
 
@@ -283,9 +274,8 @@ def test_directional_derivative_secant(rng):
     for _ in range(4):
         v = rng.standard_normal(g.shape[0])
         v /= np.linalg.norm(v)
-        dv = (v[0::2] + 1j * v[1::2]) * h
-        vp = objective_value(UTParams(36, p.entries + dv), cfg)
-        vm = objective_value(UTParams(36, p.entries - dv), cfg)
+        vp = objective_value(p + v * h, cfg)
+        vm = objective_value(p - v * h, cfg)
         secant = (vp - vm) / (2.0 * h)
         assert abs(float(g @ v) - secant) < 1e-6
 
@@ -336,14 +326,13 @@ def test_gradient_at_near_degenerate_generator(split):
     g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     v, _ = np.linalg.qr(g)
     p = antihermitian_to_params(-1j * (v * theta) @ v.conj().T)  # M - M^dag = -iH
-    m = _generator(p.entries, p.d)
+    m = _generator(p.view(np.complex128), 16)
     assert np.min(np.diff(np.linalg.eigvalsh(1j * (m - m.conj().T)))) < 2.0 * split
     _, grad, _ = objective_value_and_gradient(p, cfg)
     for _ in range(3):
         r = rng.standard_normal(grad.shape[0])
         r /= np.linalg.norm(r)
-        dz = r[0::2] + 1j * r[1::2]
-        want = richardson_slope(lambda t: objective_value(UTParams(16, p.entries + t * dz), cfg))
+        want = richardson_slope(lambda t: objective_value(p + t * r, cfg))
         assert abs(float(grad @ r) - want) < 1e-11
 
 
@@ -355,8 +344,7 @@ def _check_penalized_gradient_hinge_active(sites, rng):
     target = np.zeros(dims.total, dtype=np.complex128)
     target[0] = target[np.ravel_multi_index((1,) * len(sites), sites)] = 1.0 / np.sqrt(2.0)
     p0 = params_mapping_uniform_to(target)
-    noise = random_params(dims.total, rng).entries * 0.05
-    p = UTParams(dims.total, p0.entries + noise)
+    p = p0 + random_params(dims.total, rng) * 0.05
     value, g, extras = objective_value_and_gradient(p, cfg)
     assert extras["max_tmi"] > 0.01
     assert value > extras["gap"]
@@ -446,7 +434,7 @@ def test_stacked_kernel_reads_any_row_layout(rng):
     dims = Dims((3, 3, 2, 2))
     cfg = ObjectiveConfig(dims, default_partition(dims), penalty_enabled=True)
     points = [random_params(dims.total, rng) for _ in range(4)]
-    x = np.stack([p.entries.view(np.float64) for p in points])
+    x = np.stack(points)
     values, grads, extras = stacked_value_and_gradient(x, cfg)
     for layout, rows in ((np.asfortranarray(x), slice(None)), (x[::2], slice(None, None, 2))):
         v, g, e = stacked_value_and_gradient(layout, cfg)
@@ -459,13 +447,22 @@ def test_stacked_kernel_reads_any_row_layout(rng):
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        UTParams(4, np.zeros(9))
+        unitary(np.zeros(18), 4)  # 9 entries for d = 4
     with pytest.raises(ValueError):
-        UTParams(2, np.array([np.inf, 0.0, 0.0]))
+        unitary(np.array([np.inf, 0.0, 0.0, 0.0, 0.0, 0.0]), 2)
     dims = Dims((2, 2, 2, 2))
     cfg = ObjectiveConfig(dims, default_partition(dims))
     with pytest.raises(ValueError):
-        state_from_params(UTParams(4, np.zeros(10)), cfg)
+        state_from_params(np.zeros(20), cfg)  # a row for d = 4 on d = 16
+    # the stack broadcast a short row into numpy's shape error; an odd length
+    # fails before its complex view, as a short row does
+    x = np.zeros((2, 16 * 17))
+    for bad in (x[:, :-2], x[:, :-1]):
+        with pytest.raises(ValueError, match=f"expected 272 real parameters for d=16, got {bad.shape[-1]}$"):
+            stacked_value_and_gradient(bad, cfg)
+    x[1, 5] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        stacked_value_and_gradient(x, cfg)
     with pytest.raises(ValueError):
         ObjectiveConfig(dims, default_partition(dims), q=0.0)
     with pytest.raises(ValueError):
