@@ -6,7 +6,11 @@ pairing every qubit with a fresh |0> on its right through an
 isometry-generating two-qubit unitary, then applies disentanglers across
 every adjacent pair straddling sibling branches. Every gate is exp(M - M^dag)
 of an upper-triangular 4x4 generator (10 complex entries), so an all-zero
-parameter vector gives |0...0>.
+parameter row gives |0...0>.
+
+A circuit of G gates takes one real row of G*20 floats, each gate's entries
+viewed as float64 in schedule order, which :func:`mera_family` steps in the
+unitary search's lockstep runner.
 
 The fresh |0> is never stored: an isometry acts on its one un-embedded
 qubit as the 4x2 map U[:, [0, 2]], the columns where the fresh qubit is |0>.
@@ -37,11 +41,11 @@ import numpy as np
 from .objective import ObjectiveConfig, _cached_state_objective, _parameter_gradient, _unitaries
 from .optimize import (
     AdamConfig,
+    Family,
     ShotRecord,
-    gaussian_entries,
-    lockstep_shots,
-    map_chunks,
-    worker_count,
+    gaussian_row,
+    run_search,
+    state_from_record,
 )
 from .states import Dims, PartitionSpec, QuditState
 
@@ -80,24 +84,6 @@ def mera_layout(num_qubits: int) -> MeraLayout:
     return MeraLayout(num_qubits=num_qubits, ops=tuple(ops))
 
 
-@dataclass(frozen=True)
-class MeraParams:
-    """One packed 10-entry generator vector per gate, in schedule order."""
-
-    entries: np.ndarray  # complex, shape (num_gates, 10)
-
-    def __post_init__(self) -> None:
-        ent = np.asarray(self.entries, dtype=np.complex128).copy()
-        if ent.ndim != 2 or ent.shape[1] != ENTRIES_PER_GATE:
-            raise ValueError(f"expected shape (num_gates, {ENTRIES_PER_GATE}), got {ent.shape}")
-        ent.setflags(write=False)
-        object.__setattr__(self, "entries", ent)
-
-    @property
-    def num_gates(self) -> int:
-        return self.entries.shape[0]
-
-
 def default_mera_partition(num_qubits: int) -> PartitionSpec:
     """Four contiguous equal blocks (A, B, A', B') along the qubit line."""
     w = num_qubits // 4
@@ -110,18 +96,17 @@ def mera_objective_config(num_qubits: int, q: float = 1.0, **kwargs) -> Objectiv
     return ObjectiveConfig(dims, default_mera_partition(num_qubits), q=q, **kwargs)
 
 
-def _gate_unitaries(layout: MeraLayout, params: MeraParams):
-    """(U, theta, V) of every gate, stacked along a leading gate axis."""
-    if params.num_gates != layout.num_gates:
-        raise ValueError(
-            f"layout has {layout.num_gates} gates, parameters carry {params.num_gates}"
-        )
-    return _unitaries(params.entries.view(np.float64), GATE_DIM)
+def _gate_unitaries(layout: MeraLayout, x: np.ndarray):
+    """(U, theta, V) of every gate of the real row x (G*20,), stacked along a leading gate axis."""
+    if np.shape(x) != (2 * layout.num_entries,):
+        raise ValueError(f"expected {2 * layout.num_entries} real parameters for the {layout.num_gates}-gate "
+                         f"{layout.num_qubits}-qubit MERA, got shape {np.shape(x)}")
+    return _unitaries(np.reshape(x, (layout.num_gates, 2 * ENTRIES_PER_GATE)), GATE_DIM)
 
 
-def mera_state(layout: MeraLayout, params: MeraParams) -> QuditState:
-    """Run the circuit on |0...0>; all-identity gates return |0...0> itself."""
-    amps = _run_circuit(layout, _gate_unitaries(layout, params)[0])
+def mera_state(layout: MeraLayout, x: np.ndarray) -> QuditState:
+    """Run the circuit of the real row x on |0...0>; all-identity gates return |0...0> itself."""
+    amps = _run_circuit(layout, _gate_unitaries(layout, x)[0])
     return QuditState(Dims((2,) * layout.num_qubits), amps)
 
 
@@ -177,29 +162,29 @@ def _circuit_grad(layout: MeraLayout, gates, amps: np.ndarray, cotangent: np.nda
     return _parameter_gradient(theta, v, g_u).reshape(-1)
 
 
-def _flatten(params: MeraParams) -> np.ndarray:
-    return params.entries.view(np.float64).reshape(-1)
+# kept only because perfbench/checks.py imports them; ROADMAP item 1 deletes them with its perfbench edit
+MeraParams = np.ndarray
+_flatten = np.asarray
 
 
-def _unflatten(vec: np.ndarray, num_gates: int) -> MeraParams:
-    entries = np.ascontiguousarray(vec, dtype=np.float64).view(np.complex128)
-    return MeraParams(entries.reshape(num_gates, ENTRIES_PER_GATE))
+def _unflatten(x: np.ndarray, num_gates: int) -> np.ndarray:
+    return x
 
 
-def mera_objective_value(layout: MeraLayout, params: MeraParams, cfg: ObjectiveConfig) -> float:
-    amps = mera_state(layout, params).amplitudes
+def mera_objective_value(layout: MeraLayout, x: np.ndarray, cfg: ObjectiveConfig) -> float:
+    amps = mera_state(layout, x).amplitudes
     return _cached_state_objective(cfg)(amps[None], want_grad=False)[0][0]
 
 
 def mera_value_and_gradient(
     layout: MeraLayout,
-    params: MeraParams,
+    x: np.ndarray,
     cfg: ObjectiveConfig,
     gradient: str = "analytic",
 ):
-    """Objective value and real gradient over flattened gate parameters, by circuit backpropagation."""
+    """Objective value and real gradient over the row x, by circuit backpropagation."""
     _check_gradient(gradient)
-    gates = _gate_unitaries(layout, params)
+    gates = _gate_unitaries(layout, x)
     amps = _run_circuit(layout, gates[0])
     values, g_psi, _ = _cached_state_objective(cfg)(amps[None])
     return values[0], _circuit_grad(layout, gates, amps, g_psi[0])
@@ -210,24 +195,20 @@ def _check_gradient(gradient: str) -> None:
         raise ValueError(f"gradient must be 'analytic', the only one, got {gradient!r}")
 
 
-def initial_mera_params(layout: MeraLayout, rng: np.random.Generator) -> MeraParams:
-    """Per-gate i.i.d. complex Gaussian entries of std 1/sqrt(4)."""
-    ent = gaussian_entries(layout.num_entries, GATE_DIM, rng)
-    return MeraParams(ent.reshape(layout.num_gates, ENTRIES_PER_GATE))
+def initial_mera_params(layout: MeraLayout, rng: np.random.Generator) -> np.ndarray:
+    """Per-gate i.i.d. complex Gaussian entries of std 1/sqrt(4), as a real row."""
+    return gaussian_row(layout.num_entries, GATE_DIM, rng)
 
 
-def _mera_shots(layout: MeraLayout, cfg: ObjectiveConfig, adam: AdamConfig,
-                seeds: Sequence[int]) -> list[ShotRecord]:
-    """MERA shots for the seeds in one lockstep stack, evaluated one row at a time."""
+def mera_family(cfg: ObjectiveConfig) -> Family:
+    """The MERA search on ``mera_layout(len(cfg.dims))``; a stack is evaluated one row at a time."""
+    layout = mera_layout(len(cfg.dims))
 
     def vg(x: np.ndarray):
-        rows = [mera_value_and_gradient(layout, _unflatten(r, layout.num_gates), cfg) for r in x]
+        rows = [mera_value_and_gradient(layout, r, cfg) for r in x]
         return np.array([v for v, _ in rows]), np.array([g for _, g in rows])
 
-    def init(rng: np.random.Generator) -> np.ndarray:
-        return _flatten(initial_mera_params(layout, rng))
-
-    return lockstep_shots(cfg, adam, seeds, init, vg, "mera")
+    return Family("mera", cfg, partial(initial_mera_params, layout), vg, partial(mera_state, layout))
 
 
 def run_mera_shot(
@@ -237,9 +218,8 @@ def run_mera_shot(
     seed: int,
     gradient: str = "analytic",
 ) -> ShotRecord:
-    """One seeded MERA search shot, run by the same protocol as optimize.run_shot."""
-    _check_gradient(gradient)
-    return _mera_shots(layout, cfg, adam, [seed])[0]
+    """One seeded MERA search shot: :func:`run_mera_search` on one seed."""
+    return run_mera_search(layout, cfg, adam, [seed], gradient)[0]
 
 
 def run_mera_search(
@@ -250,13 +230,12 @@ def run_mera_search(
     gradient: str = "analytic",
     parallelism: int = 1,
 ) -> list[ShotRecord]:
-    """Batched MERA shots, results in seed order."""
+    """Batched MERA shots on ``mera_layout(len(cfg.dims))``, the only layout taken, results in seed order."""
     _check_gradient(gradient)
-    seeds = list(seeds)
-    return map_chunks(partial(_mera_shots, layout, cfg, adam), seeds,
-                      worker_count(len(seeds), parallelism))
+    if layout != mera_layout(len(cfg.dims)):
+        raise ValueError(f"layout must be mera_layout({len(cfg.dims)}) for the {len(cfg.dims)}-qubit config")
+    return run_search(mera_family(cfg), adam, seeds, parallelism)
 
 
-def mera_state_from_record(record: ShotRecord) -> QuditState:
-    params = MeraParams(np.asarray(record.best_params).reshape(-1, ENTRIES_PER_GATE))
-    return mera_state(mera_layout(len(record.dims)), params)
+# perfbench calls it by this name
+mera_state_from_record = state_from_record

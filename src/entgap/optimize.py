@@ -1,8 +1,10 @@
-"""ADAM descent on the unitary parametrization, batched shots, and q-sweeps.
+"""ADAM descent on the real parameter rows of a search family, batched shots, and q-sweeps.
 
-Shots run in lockstep: :func:`descend` advances a stack of S shots (S, n)
-with one stacked objective call and one :func:`adam_step` call per step and
-tracks each shot's best point and trace.  A shot whose evaluation raises,
+A :class:`Family` is the unitary search (:func:`unitary_family`) or MERA
+(``mera.mera_family``); both run through :func:`run_search`.  Shots run in
+lockstep: :func:`descend` advances a stack of S shots (S, n) with one
+stacked objective call and one :func:`adam_step` call per step and tracks
+each shot's best point and trace.  A shot whose evaluation raises,
 or whose objective or gradient is not finite, ends at that step with what
 it found before it and a note of why; the other shots step on.  A batch
 splits its seeds into contiguous chunks, one per worker process
@@ -111,11 +113,11 @@ def derive_seeds(master_seed: int, count: int) -> list[int]:
     return [int(master_seed) ^ i for i in range(count)]
 
 
-def gaussian_entries(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. complex Gaussian entries of std 1/sqrt(d): the start of both search families."""
+def gaussian_row(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """n i.i.d. complex Gaussian entries of std 1/sqrt(d) as a real row: the start of both search families."""
     raw = rng.standard_normal(2 * n)
     # divided as complex numbers, which rounds differently from dividing raw
-    return (raw[0::2] + 1j * raw[1::2]) / np.sqrt(2.0 * d)
+    return ((raw[0::2] + 1j * raw[1::2]) / np.sqrt(2.0 * d)).view(np.float64)
 
 
 StackValueGrad = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -203,51 +205,52 @@ def descend(x0: np.ndarray, value_and_grad: StackValueGrad, adam: AdamConfig) ->
              bool(steps_run[i] < adam.steps), notes[i]) for i in range(len(best))]
 
 
-# shots stepped as one stack: memory grows with the stack, speed barely past this
-MAX_STACK = 64
+@dataclass(frozen=True)
+class Family:
+    """A search family: how a shot starts, what it steps, and the state of a real parameter row."""
+
+    name: str  # ShotRecord.family
+    config: ObjectiveConfig
+    init: Callable[[np.random.Generator], np.ndarray]  # a shot's start row, drawn from its generator
+    value_and_grad: StackValueGrad  # a stack of rows to objectives and gradients, as descend takes
+    state: Callable[[np.ndarray], QuditState]
 
 
-def lockstep_shots(
-    cfg: ObjectiveConfig, adam: AdamConfig, seeds: Sequence[int],
-    init: Callable[[np.random.Generator], np.ndarray], value_and_grad: StackValueGrad, family: str,
-) -> list[ShotRecord]:
-    """Seeded shots of either search family, stepped together by :func:`descend`.
-
-    Shot ``seed`` starts at ``init(rng)``, where ``rng`` is its own PCG64
-    generator seeded with ``seed``, so each record depends on its seed alone.
-    Seeds are stepped in stacks of at most MAX_STACK.  The best real point is
-    recorded as complex entries, the real row viewed as complex128.  Records
-    come in seed order.
-    """
-    outcomes = []
-    for i in range(0, len(seeds), MAX_STACK):
-        x0 = np.stack([init(np.random.Generator(np.random.PCG64(s))) for s in seeds[i:i + MAX_STACK]])
-        outcomes += descend(x0, value_and_grad, adam)
-    return [
-        ShotRecord(seed=int(seed), dims=cfg.dims.sites, partition=cfg.partition, q_trained=cfg.q,
-                   best_gap=best, best_params=best_x.view(np.complex128), steps_run=steps_run,
-                   objective_trace=trace, failed=failed, note=note, family=family)
-        for seed, (best, best_x, steps_run, trace, failed, note) in zip(seeds, outcomes)
-    ]
-
-
-def run_shots(cfg: ObjectiveConfig, adam: AdamConfig, seeds: Sequence[int]) -> list[ShotRecord]:
-    """Gap-search shots for the seeds, in one lockstep stack; deterministic in (cfg, adam, seed)."""
+def unitary_family(cfg: ObjectiveConfig) -> Family:
+    """The gap search: exp(M - M^dag) of one d(d+1) real row applied to the equal superposition."""
     d = cfg.dims.total
 
     def vg(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values, grads, _ = stacked_value_and_gradient(x, cfg)
         return values, grads
 
-    def init(rng: np.random.Generator) -> np.ndarray:
-        return gaussian_entries(d * (d + 1) // 2, d, rng).view(np.float64)
-
-    return lockstep_shots(cfg, adam, seeds, init, vg, "unitary")
+    return Family("unitary", cfg, partial(gaussian_row, d * (d + 1) // 2, d), vg,
+                  partial(state_from_params, config=cfg))
 
 
-def run_shot(cfg: ObjectiveConfig, adam: AdamConfig, seed: int) -> ShotRecord:
-    """One seeded shot of the gap search: :func:`run_shots` on a stack of one."""
-    return run_shots(cfg, adam, [seed])[0]
+# shots stepped as one stack: memory grows with the stack, speed barely past this
+MAX_STACK = 64
+
+
+def lockstep_shots(family: Family, adam: AdamConfig, seeds: Sequence[int]) -> list[ShotRecord]:
+    """Seeded shots of a search family, stepped together by :func:`descend`.
+
+    Shot ``seed`` starts at ``family.init(rng)``, where ``rng`` is its own
+    PCG64 generator seeded with ``seed``, so each record depends on its seed
+    alone.  Seeds are stepped in stacks of at most MAX_STACK.  The best real
+    point is recorded as complex entries, the real row viewed as complex128.
+    Records come in seed order.
+    """
+    cfg, outcomes = family.config, []
+    for i in range(0, len(seeds), MAX_STACK):
+        x0 = np.stack([family.init(np.random.Generator(np.random.PCG64(s))) for s in seeds[i:i + MAX_STACK]])
+        outcomes += descend(x0, family.value_and_grad, adam)
+    return [
+        ShotRecord(seed=int(seed), dims=cfg.dims.sites, partition=cfg.partition, q_trained=cfg.q,
+                   best_gap=best, best_params=best_x.view(np.complex128), steps_run=steps_run,
+                   objective_trace=trace, failed=failed, note=note, family=family.name)
+        for seed, (best, best_x, steps_run, trace, failed, note) in zip(seeds, outcomes)
+    ]
 
 
 def _openblas_call(name: str, *args):
@@ -297,15 +300,27 @@ def worker_count(count: int, parallelism: int) -> int:
     return min(wanted, count, os.cpu_count() or 1)
 
 
+def run_search(
+    family: Family, adam: AdamConfig, seeds: Sequence[int], parallelism: int = 1
+) -> list[ShotRecord]:
+    """Independent shots of a search family for every seed, results in seed order."""
+    seeds = list(seeds)
+    return map_chunks(partial(lockstep_shots, family, adam), seeds, worker_count(len(seeds), parallelism))
+
+
 def run_batch(
     cfg: ObjectiveConfig,
     adam: AdamConfig,
     seeds: Sequence[int],
     parallelism: int = 1,
 ) -> list[ShotRecord]:
-    """Independent shots for every seed, results in seed order."""
-    seeds = list(seeds)
-    return map_chunks(partial(run_shots, cfg, adam), seeds, worker_count(len(seeds), parallelism))
+    """Independent gap-search shots for every seed, results in seed order."""
+    return run_search(unitary_family(cfg), adam, seeds, parallelism)
+
+
+def run_shot(cfg: ObjectiveConfig, adam: AdamConfig, seed: int) -> ShotRecord:
+    """One seeded shot of the gap search: :func:`run_batch` on one seed."""
+    return run_batch(cfg, adam, [seed])[0]
 
 
 def _split(seeds: list, k: int) -> list[list]:
@@ -399,10 +414,11 @@ def sweep_min_gap(
 
 
 def state_from_record(record: ShotRecord) -> QuditState:
-    """Rebuild the state at a shot's best parameters, for either search family."""
-    if record.family == "mera":
-        from .mera import mera_state_from_record  # mera imports this module
+    """Rebuild the state at a shot's best parameters through the family that found it."""
+    from .mera import mera_family  # mera imports this module
 
-        return mera_state_from_record(record)
-    cfg = ObjectiveConfig(Dims(record.dims), record.partition, q=record.q_trained)
-    return state_from_params(np.asarray(record.best_params, dtype=np.complex128).view(np.float64), cfg)
+    builders = {"unitary": unitary_family, "mera": mera_family}
+    if record.family not in builders:
+        raise ValueError(f"unknown search family {record.family!r}, expected one of: {', '.join(builders)}")
+    family = builders[record.family](ObjectiveConfig(Dims(record.dims), record.partition, q=record.q_trained))
+    return family.state(np.asarray(record.best_params, dtype=np.complex128).view(np.float64))

@@ -18,14 +18,14 @@ from entgap.cli import main
 RECORDED_WITH = "numpy 2.4.6, scipy-openblas 0.3.31.188.0 (OpenBLAS core SkylakeX)"
 
 OPTIMIZE_3322 = ["optimize", "--dims", "3,3,2,2", "--seeds", "2", "--steps", "20"]
+MERA_8 = ["mera", "--qubits", "8", "--seeds", "2", "--steps", "10"]
 
 GOLDEN = {
     "optimize": (["optimize", "--dims", "2,2,2,2", "--seeds", "4", "--steps", "50"],
                  "54ba721023aa31004d794ca2e429a1cf180d18086ae78ededb75e0de99e42ebd"),
     "optimize-penalty": (["optimize", "--dims", "2,2,2,2", "--seeds", "4", "--steps", "50", "--penalty"],
                          "102da364be68c3458d1667c723f98e12f0199c3be9c5925d0dc82fd081a53a2d"),
-    "mera": (["mera", "--qubits", "8", "--seeds", "2", "--steps", "10"],
-             "79f804e9338cc9ca73cd4bf221c7b7ecb70d80f1f1af7e0768e296fa4a54e768"),
+    "mera": (MERA_8, "79f804e9338cc9ca73cd4bf221c7b7ecb70d80f1f1af7e0768e296fa4a54e768"),
     "optimize-3322": (OPTIMIZE_3322, "76b1d00f0f499d280ce06fc6dea2e278913aa6a1d00ce02fd600747c56d7c174"),
 }
 
@@ -37,6 +37,14 @@ GOLDEN_REPORTS = {
 }
 
 TMI_3322 = "bd834fc8b723572f4e3be47355daf26d2ee2ada4aa8e4cf004b1952066cacf85"
+
+# reports read from the MERA log: they pin the way back from a MERA record to its state
+GOLDEN_MERA_REPORTS = {
+    "mera-curve": (["curve", "--seed", "0"], "curve.csv",
+                   "81a8a7afcdc59b854da420abf04061fba10c481766ec24cebf39a13d742e13f5"),
+    "mera-tmi": (["tmi", "--threshold", "1"], "tmi.csv",
+                 "c27cc13682755c7f995ae535d4c7b2612be871bde31dc46939fcf37ebb8bfd05"),
+}
 
 
 def _this_build() -> str:
@@ -73,3 +81,12 @@ def test_golden_tmi_report(tmp_path, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.endswith("(2 shots with gap <= 1.0)\n")
     _check("tmi", tmp_path / "tmi" / "tmi.csv", TMI_3322)
+
+
+@pytest.mark.parametrize("name", GOLDEN_MERA_REPORTS)
+def test_golden_mera_report(tmp_path, name):
+    argv, artifact, digest = GOLDEN_MERA_REPORTS[name]
+    log = tmp_path / "log"
+    assert main(MERA_8 + ["--out", str(log)]) == 0
+    assert main(argv[:1] + ["--shots", str(log / "shots.jsonl")] + argv[1:] + ["--out", str(tmp_path / "r")]) == 0
+    _check(name, tmp_path / "r" / artifact, digest)

@@ -487,14 +487,26 @@ def test_cli_curve_refuses_a_seed_held_once_per_training_q(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_cli_curve_refuses_a_truncated_parameter_row(tmp_path, capsys):
+def _cut(rec):
+    return replace(rec, best_params=rec.best_params[:-1])
+
+
+@pytest.mark.parametrize("search,edit,message", [
+    (["optimize", "--dims", "3,3,2,2"], _cut, "expected 1332 real parameters for d=36, got 1330"),
+    (["mera", "--qubits", "8"], _cut,
+     "expected 220 real parameters for the 11-gate 8-qubit MERA, got shape (218,)"),
+    (["optimize", "--dims", "3,3,2,2"], lambda rec: replace(rec, family="bogus"),
+     "unknown search family 'bogus', expected one of: unitary, mera"),
+], ids=["unitary-cut", "mera-cut", "bogus-family"])
+def test_cli_curve_refuses_a_record_it_cannot_rebuild(tmp_path, capsys, search, edit, message):
+    # a record cut by one entry, or naming a family no search has
     log = tmp_path / "log"
-    assert main(["optimize", "--dims", "3,3,2,2", "--seeds", "1", "--steps", "2", "--out", str(log)]) == 0
+    assert main(search + ["--seeds", "1", "--steps", "2", "--out", str(log)]) == 0
     rec = read_shots_jsonl(log / "shots.jsonl")[0]
-    write_shots_jsonl([replace(rec, best_params=rec.best_params[:-1])], log / "cut.jsonl")
+    write_shots_jsonl([edit(rec)], log / "edited.jsonl")
     capsys.readouterr()
-    assert main(["curve", "--shots", str(log / "cut.jsonl"), "--out", str(tmp_path / "curve")]) == 2
-    assert capsys.readouterr().err == "error: expected 1332 real parameters for d=36, got 1330\n"
+    assert main(["curve", "--shots", str(log / "edited.jsonl"), "--out", str(tmp_path / "curve")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_bound_check_passes():

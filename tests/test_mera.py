@@ -1,7 +1,7 @@
 import inspect
 import json
 import tracemalloc
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -10,9 +10,6 @@ from entgap.cli import build_parser, main
 from entgap.io import shot_to_dict
 from entgap.mera import (
     ENTRIES_PER_GATE,
-    MeraParams,
-    _flatten,
-    _unflatten,
     default_mera_partition,
     initial_mera_params,
     mera_layout,
@@ -44,16 +41,14 @@ def test_layout_gate_counts():
 
 def test_identity_gates_give_all_zeros_state():
     lay = mera_layout(8)
-    params = MeraParams(np.zeros((lay.num_gates, ENTRIES_PER_GATE), dtype=complex))
-    psi = mera_state(lay, params)
+    psi = mera_state(lay, np.zeros(2 * lay.num_entries))
     assert abs(psi.amplitudes[0] - 1.0) < 1e-12
     assert np.max(np.abs(psi.amplitudes[1:])) < 1e-12
 
 
 def test_identity_state_has_zero_gap():
     lay = mera_layout(8)
-    params = MeraParams(np.zeros((lay.num_gates, ENTRIES_PER_GATE), dtype=complex))
-    psi = mera_state(lay, params)
+    psi = mera_state(lay, np.zeros(2 * lay.num_entries))
     assert abs(gap(psi, default_mera_partition(8), 1.0)) < 1e-12
 
 
@@ -64,12 +59,26 @@ def test_random_mera_state_normalized(rng):
         assert abs(np.vdot(psi.amplitudes, psi.amplitudes).real - 1.0) < 1e-10
 
 
-def test_param_count_enforced():
+def test_param_count_enforced(rng):
     lay = mera_layout(8)
-    with pytest.raises(ValueError):
-        mera_state(lay, MeraParams(np.zeros((5, ENTRIES_PER_GATE), dtype=complex)))
-    with pytest.raises(ValueError):
-        MeraParams(np.zeros((11, 9), dtype=complex))
+    cfg = mera_objective_config(8)
+    x = initial_mera_params(lay, rng)
+    assert x.shape == (2 * lay.num_entries,) and x.dtype == np.float64
+    # five gates' worth, one entry short, and the right count as a gate table
+    for bad in (np.zeros(5 * 2 * ENTRIES_PER_GATE), x[:-2], x.reshape(lay.num_gates, -1)):
+        for evaluate in (partial(mera_state, lay), partial(mera_value_and_gradient, lay, cfg=cfg)):
+            with pytest.raises(ValueError, match="^expected 220 real parameters for the 11-gate 8-qubit MERA"):
+                evaluate(bad)
+    with pytest.raises(ValueError, match="finite"):
+        mera_state(lay, np.where(np.arange(x.size) == 7, np.nan, x))
+
+
+def test_search_rejects_a_layout_other_than_its_configs():
+    cfg8, lay16 = mera_objective_config(8), mera_layout(16)
+    with pytest.raises(ValueError, match=r"layout must be mera_layout\(8\) for the 8-qubit config"):
+        run_mera_shot(lay16, cfg8, AdamConfig(steps=1), 0)
+    with pytest.raises(ValueError, match=r"mera_layout\(8\)"):
+        run_mera_search(lay16, cfg8, AdamConfig(steps=1), [0, 1], parallelism=2)
 
 
 def test_vector_reduced_density_matches_dense_path(rng):
@@ -91,18 +100,17 @@ def test_sixteen_qubit_reduced_density_without_dense_matrix(rng):
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
 
 
-def _central_differences(lay, params, cfg, h):
+def _central_differences(lay, x, cfg, h):
     """Value and central differences of the MERA objective over every real coordinate."""
-    x = _flatten(params)
     grad = np.empty_like(x)
     for i in range(x.shape[0]):
         xp = x.copy()
         xp[i] += h
-        vp = mera_objective_value(lay, _unflatten(xp, params.num_gates), cfg)
+        vp = mera_objective_value(lay, xp, cfg)
         xp[i] -= 2.0 * h
-        vm = mera_objective_value(lay, _unflatten(xp, params.num_gates), cfg)
+        vm = mera_objective_value(lay, xp, cfg)
         grad[i] = (vp - vm) / (2.0 * h)
-    return mera_objective_value(lay, params, cfg), grad
+    return mera_objective_value(lay, x, cfg), grad
 
 
 def test_fd_and_analytic_gradients_agree(rng):
@@ -298,14 +306,14 @@ def _tensordot_oracle_state(num_qubits: int, entries: np.ndarray) -> np.ndarray:
 def test_mera_state_matches_dense_kron_oracle(rng):
     lay = mera_layout(8)
     params = initial_mera_params(lay, rng)
-    oracle = _dense_oracle_state(8, params.entries)
+    oracle = _dense_oracle_state(8, params.view(complex).reshape(lay.num_gates, ENTRIES_PER_GATE))
     assert np.max(np.abs(mera_state(lay, params).amplitudes - oracle)) < 1e-13
 
 
 def test_mera_state_matches_tensordot_oracle_at_sixteen_qubits(rng):
     lay = mera_layout(16)
     params = initial_mera_params(lay, rng)
-    oracle = _tensordot_oracle_state(16, params.entries)
+    oracle = _tensordot_oracle_state(16, params.view(complex).reshape(lay.num_gates, ENTRIES_PER_GATE))
     assert np.max(np.abs(mera_state(lay, params).amplitudes - oracle)) < 1e-13
 
 
@@ -314,9 +322,8 @@ def test_mera_gradient_matches_oracle_differences(rng):
     # 2, 4-7) and disentanglers (gates 3, 8-10), in real and imaginary parts
     lay = mera_layout(8)
     cfg = mera_objective_config(8, q=1.0)
-    params = initial_mera_params(lay, rng)
-    value, grad = mera_value_and_gradient(lay, params, cfg)
-    x = params.entries.view(np.float64).reshape(-1)
+    x = initial_mera_params(lay, rng)
+    value, grad = mera_value_and_gradient(lay, x, cfg)
 
     def oracle_gap(xv: np.ndarray) -> float:
         amps = _dense_oracle_state(8, xv.view(complex).reshape(lay.num_gates, ENTRIES_PER_GATE))

@@ -194,18 +194,17 @@ def test_worker_count_is_capped_at_seeds_and_cpus(monkeypatch):
         opt.worker_count(8, 0)
 
 
-def _spy_chunks(monkeypatch, module, name):
-    """Wrap ``module.name``, a chunk runner, to log (process, seeds, OpenBLAS threads) per call.
+def _spy_chunks(monkeypatch):
+    """Wrap ``lockstep_shots``, the chunk runner, to log (process, seeds, OpenBLAS threads) per call.
 
     Forked workers inherit the wrapper and send their log through a pipe; the
     returned function reads what every call sent.
     """
-    real, pipe = getattr(module, name), FORK.SimpleQueue()
+    real, pipe = opt.lockstep_shots, FORK.SimpleQueue()
 
-    def spy(*args):
-        seeds = next(a for a in args if isinstance(a, list))  # args end in seeds
+    def spy(family, adam, seeds):
         pipe.put((os.getpid(), seeds, _openblas_threads() if OPENBLAS else None))
-        return real(*args)
+        return real(family, adam, seeds)
 
     def calls():
         out = []
@@ -213,7 +212,7 @@ def _spy_chunks(monkeypatch, module, name):
             out.append(pipe.get())
         return out
 
-    monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(opt, "lockstep_shots", spy)
     return calls
 
 
@@ -233,13 +232,13 @@ def _mera_case():
     from entgap.mera import mera_layout, mera_objective_config, run_mera_search
 
     lay, cfg = mera_layout(8), mera_objective_config(8)
-    return partial(run_mera_search, lay, cfg), "entgap.mera", "_mera_shots"
+    return partial(run_mera_search, lay, cfg)
 
 
 def _unitary_case(penalty):
     dims = Dims((3, 3, 2, 2))
     cfg = ObjectiveConfig(dims, default_partition(dims), penalty_enabled=penalty)
-    return partial(run_batch, cfg), "entgap.optimize", "run_shots"
+    return partial(run_batch, cfg)
 
 
 @pytest.mark.parametrize("case,count", [
@@ -247,7 +246,7 @@ def _unitary_case(penalty):
 ], ids=["unitary", "penalized", "mera8"])
 def test_threaded_batch_equals_each_seed_alone(monkeypatch, case, count):
     # at --parallelism 1 a batch starts one worker per thread of the OpenBLAS budget
-    search, module, runner = case()
+    search = case()
     adam = AdamConfig(steps=20)
     seeds = derive_seeds(11, count)
     alone = [_dicts(search(adam, [s]))[0] for s in seeds]
@@ -256,7 +255,7 @@ def test_threaded_batch_equals_each_seed_alone(monkeypatch, case, count):
         with monkeypatch.context() as mp:
             mp.setattr(opt, "blas_threads", lambda: budget)
             mp.setattr(opt.os, "cpu_count", lambda: 3)  # three workers even on fewer CPUs
-            calls = _spy_chunks(mp, sys.modules[module], runner)
+            calls = _spy_chunks(mp)
             assert _dicts(search(adam, seeds)) == alone, budget
             _check_split(calls(), seeds, budget)
         if OPENBLAS:
@@ -270,7 +269,7 @@ def test_uneven_thread_splits(monkeypatch, count, budget, sizes):
     alone = [_dicts(run_batch(cfg, adam, [s]))[0] for s in seeds]
     before = _openblas_threads() if OPENBLAS else None
     monkeypatch.setattr(opt, "blas_threads", lambda: budget)
-    calls = _spy_chunks(monkeypatch, opt, "run_shots")
+    calls = _spy_chunks(monkeypatch)
     assert _dicts(run_batch(cfg, adam, seeds)) == alone
     calls = calls()
     assert sorted(len(c[1]) for c in calls) == sizes
@@ -285,18 +284,18 @@ def test_exception_in_a_helper_thread_propagates(monkeypatch, tmp_path, capsys, 
     from entgap.cli import main
 
     seeds = derive_seeds(0, 4)
-    real = opt.run_shots
+    real = opt.lockstep_shots
     parent = os.getpid()
 
-    def run_shots(cfg, adam, chunk):
+    def lockstep_shots(family, adam, chunk):
         if seeds[-1] in chunk:  # the last chunk: a forked worker's
             assert os.getpid() != parent
             raise exc
-        return real(cfg, adam, chunk)
+        return real(family, adam, chunk)
 
     before = _openblas_threads() if OPENBLAS else None
     monkeypatch.setattr(opt, "blas_threads", lambda: 2)
-    monkeypatch.setattr(opt, "run_shots", run_shots)
+    monkeypatch.setattr(opt, "lockstep_shots", lockstep_shots)
     argv = ["optimize", "--dims", "2,2,2,2", "--seeds", "4", "--steps", "5",
             "--out", str(tmp_path / "run")]
     outcome = {}
@@ -335,7 +334,7 @@ def test_a_failing_chunk_stops_the_other_threads(monkeypatch, exc, failing):
     seeds = derive_seeds(0, 4)
     interrupt = isinstance(exc, KeyboardInterrupt)
     bad_seed = None if interrupt else seeds[0] if failing == "calling" else seeds[-1]
-    real_shots, real_vg = opt.run_shots, opt.stacked_value_and_gradient
+    real_shots, real_vg = opt.lockstep_shots, opt.stacked_value_and_gradient
 
     def vg(x, cfg, want_grad=True):
         with evaluations.get_lock():
@@ -343,11 +342,11 @@ def test_a_failing_chunk_stops_the_other_threads(monkeypatch, exc, failing):
         stepping.set()
         return real_vg(x, cfg, want_grad)
 
-    def run_shots(cfg, adam, chunk):
+    def lockstep_shots(family, adam, chunk):
         if bad_seed in chunk:
             assert stepping.wait(timeout=60)
             raise exc
-        return real_shots(cfg, adam, chunk)
+        return real_shots(family, adam, chunk)
 
     def interrupt_when_stepping(main_thread):
         if stepping.wait(timeout=60):
@@ -355,7 +354,7 @@ def test_a_failing_chunk_stops_the_other_threads(monkeypatch, exc, failing):
 
     before = _openblas_threads() if OPENBLAS else None
     monkeypatch.setattr(opt, "blas_threads", lambda: 2)
-    monkeypatch.setattr(opt, "run_shots", run_shots)
+    monkeypatch.setattr(opt, "lockstep_shots", lockstep_shots)
     monkeypatch.setattr(opt, "stacked_value_and_gradient", vg)
     for parallelism in (1, 2):
         stepping, evaluations = FORK.Event(), FORK.Value("i", 0)
@@ -526,8 +525,8 @@ def _hook_mera(mp, on_row):
 
     real = mera.mera_value_and_gradient
 
-    def vg(layout, params, cfg, gradient="analytic"):
-        return on_row(mera._flatten(params), *real(layout, params, cfg, gradient))
+    def vg(layout, x, cfg, gradient="analytic"):
+        return on_row(x, *real(layout, x, cfg, gradient))
 
     mp.setattr(mera, "mera_value_and_gradient", vg)
 
