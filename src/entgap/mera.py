@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .objective import ObjectiveConfig, _cached_state_objective, _parameter_gradient, _unitaries
+from .objective import ObjectiveConfig, _cached_state_objective, _dagger, _parameter_gradient, _unitaries
 from .optimize import (
     AdamConfig,
     Family,
@@ -159,7 +159,7 @@ def _circuit_grad(layout: MeraLayout, gates, amps: np.ndarray, cotangent: np.nda
         # cotangent and state through the gate: c_before = W^dag c_after
         c = _natural(w_dag @ c_front, pos)
         y = _natural(x, pos)
-    return _parameter_gradient(theta, v, g_u).reshape(-1)
+    return _parameter_gradient(theta, v, _dagger(v) @ g_u @ v).reshape(-1)
 
 
 # kept only because perfbench/checks.py imports them; ROADMAP item 1 deletes them with its perfbench edit

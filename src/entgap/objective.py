@@ -19,6 +19,13 @@ eigenvalue pairs merge: a sinc for the exponential and 1/(r_i + r_j) on the
 clipped roots for the square root.  Eigenvalues below
 :data:`entgap.entropy.CLIP_EPS` contribute nothing.
 
+The exp adjoint (:func:`_parameter_gradient`) takes its cotangent in the
+eigenbasis of H = i(M - M^dag), where the sinc acts elementwise with its
+phase split into a row and a column factor.  The search's cotangent on U,
+``g_psi chi^dag``, has rank one, so the unitary family applies V and V^dag
+to vectors only and never forms U, forward or backward; the MERA gates,
+which act on many vectors, form theirs (:func:`_unitaries`).
+
 The kernel works on stacks: every array carries leading stack axes, so a
 search evaluates S parameter points with one call
 (:func:`stacked_value_and_gradient`) and each numpy call, ``eigh`` and
@@ -69,30 +76,29 @@ class ObjectiveConfig:
 
 @lru_cache(maxsize=64)
 def _ut_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into a row-major d x d matrix of its upper triangle and of the transposed entries."""
     rows, cols = np.triu_indices(d)
-    return rows, cols
+    return rows * d + cols, cols * d + rows
 
 
 def _generator(entries: np.ndarray, d: int) -> np.ndarray:
     """Dense upper-triangular M (..., d, d) from packed entry vectors (..., d(d+1)/2)."""
-    m = np.zeros(entries.shape[:-1] + (d, d), dtype=np.complex128)
-    rows, cols = _ut_indices(d)
-    m[..., rows, cols] = entries
-    return m
+    m = np.zeros(entries.shape[:-1] + (d * d,), dtype=np.complex128)
+    m[..., _ut_indices(d)[0]] = entries
+    return m.reshape(entries.shape[:-1] + (d, d))
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _unitaries(x: np.ndarray, d: int):
-    """U = exp(M - M^dag) of real parameter rows x (..., d(d+1)), via eigh of H = i(M - M^dag).
+def _spectrum(x: np.ndarray, d: int):
+    """(theta, V) of H = i(M - M^dag) = V diag(theta) V^dag for real parameter rows x (..., d(d+1)).
 
     A real row is its packed complex entries viewed as float64, i.e.
     interleaved (re, im) pairs.  Every parameter row passes here, so this is
     where a row of the wrong length or with non-finite entries raises
-    ValueError.  Returns (U, theta, V) with H = V diag(theta) V^dag and
-    U = V diag(exp(-i theta)) V^dag.
+    ValueError.  exp(M - M^dag) = V diag(exp(-i theta)) V^dag.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.shape[-1] != d * (d + 1):
@@ -100,34 +106,60 @@ def _unitaries(x: np.ndarray, d: int):
     if not np.all(np.isfinite(x)):
         raise ValueError("parameter entries must be finite")
     m = _generator(x.view(np.complex128), d)
-    theta, v = np.linalg.eigh(1j * (m - _dagger(m)))
-    u = (v * np.exp(-1j * theta)[..., None, :]) @ _dagger(v)
-    return u, theta, v
+    return np.linalg.eigh(1j * (m - _dagger(m)))
 
 
-def _parameter_gradient(theta: np.ndarray, v: np.ndarray, g_u: np.ndarray) -> np.ndarray:
-    """Pull a gradient on U = exp(M - M^dag) back to real parameter rows (..., d(d+1)).
+def _unitaries(x: np.ndarray, d: int):
+    """(U, theta, V) with U = exp(M - M^dag) of real parameter rows x, for gates that act on many vectors."""
+    theta, v = _spectrum(x, d)
+    return (v * np.exp(-1j * theta)[..., None, :]) @ _dagger(v), theta, v
 
-    The divided difference of exp(-i theta) is written in closed form,
-    -i exp(-i mean) sin(diff/2) / (diff/2), so it does not cancel as pairs merge.
+
+def _parameter_gradient(theta: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Pull a gradient g_U on U = exp(M - M^dag) back to real parameter rows (..., d(d+1)).
+
+    ``w = V^dag g_U V`` is the cotangent in the eigenbasis of H = V diag(theta) V^dag.
+    The divided difference of exp(-i theta) is -i conj(e_i e_j) S_ij with
+    e = exp(i theta / 2) and the real sinc S_ij = sin(delta/2) / (delta/2) of
+    delta = theta_i - theta_j, which stays exact as pairs merge.  With its
+    phase split into a row and a column factor, the gradient on H is i G with
+    G = (V diag(e)) (w * S) (diag(e) V^dag), so no d x d complex exponential
+    is taken, and entry (r, c) of the row, from the Hermitian part of i G,
+    is G[r, c] - conj(G[c, r]).
     """
-    th_i, th_j = theta[..., :, None], theta[..., None, :]
-    # no intermediate is kept, so a stack holds few (S, d, d) arrays at once
-    phc = (-1j * np.exp(-1j * (0.5 * (th_i + th_j))) * np.sinc((th_i - th_j) / (2.0 * np.pi))).conj()
-    # V^dag g_U V stays the left operand: numpy reuses a temporary operand of
-    # 256 KiB or more as the output, so a temporary right operand would swap the
-    # operands of this complex product, which round differently under FMA
-    g_h = v @ ((_dagger(v) @ g_u @ v) * phc) @ _dagger(v)
-    g_h = 0.5 * (g_h + _dagger(g_h))  # the Hermitian gradient on H
-    rows, cols = _ut_indices(theta.shape[-1])
-    # the gather may come out strided, and a view needs a contiguous last axis
-    return np.ascontiguousarray(-2j * g_h[..., rows, cols]).view(np.float64)
+    d = theta.shape[-1]
+    upper, lower = _ut_indices(d)
+    e = np.exp(0.5j * theta)
+    half = 0.5 * (theta[..., :, None] - theta[..., None, :])
+    s = np.divide(np.sin(half), half, out=np.ones_like(half), where=half != 0.0)
+    del half  # each temporary goes once used, so a stack holds few (S, d, d) arrays at once
+    g = (v * e[..., None, :]) @ (w * s)
+    del s
+    # numpy reuses a temporary operand of 256 KiB or more as the output, swapping a
+    # commutative product's operands, which round differently under FMA; the
+    # complex products here have no such right operand (_dagger gives a view)
+    g = (g @ (e[..., :, None] * _dagger(v))).reshape(theta.shape[:-1] + (d * d,))
+    return (g.take(upper, axis=-1) - g.take(lower, axis=-1).conj()).view(np.float64)
+
+
+def _rotate(x: np.ndarray, dims: Dims):
+    """psi = exp(M - M^dag) chi of real parameter rows x, with U never formed.
+
+    Returns (psi, a, theta, V) with a = V^dag chi, so psi = V (exp(-i theta) * a).
+    """
+    theta, v = _spectrum(x, dims.total)
+    a = _dagger(v) @ _chi(dims)
+    psi = (v @ (np.exp(-1j * theta) * a)[..., None])[..., 0]
+    return psi, a, theta, v
 
 
 def state_from_params(x: np.ndarray, config: ObjectiveConfig) -> QuditState:
-    """Apply the unitary of the real parameter row x (d(d+1),) to the equal superposition."""
-    u = _unitaries(x, config.dims.total)[0]
-    return QuditState(config.dims, u @ _chi(config.dims))
+    """Apply the unitary of the real parameter row x (d(d+1),) to the equal superposition.
+
+    This is the search kernel's own forward step, so a logged row rebuilds the
+    state the search evaluated, bit for bit.
+    """
+    return QuditState(config.dims, _rotate(x, config.dims)[0])
 
 
 def two_party_density(psi: QuditState, partition: PartitionSpec) -> DensityMatrix:
@@ -430,14 +462,12 @@ def stacked_value_and_gradient(x: np.ndarray, config: ObjectiveConfig, want_grad
     with non-finite entries and FloatingPointError on non-finite
     intermediates in any row.
     """
-    u, theta, v = _unitaries(x, config.dims.total)
-    chi = _chi(config.dims)
-    psi = u @ chi
-    del u  # the adjoint needs theta and V only; a stack of U is S d^2 complex numbers
+    psi, a, theta, v = _rotate(x, config.dims)
     values, g_psi, extras = _cached_state_objective(config)(psi, want_grad=want_grad)
     if not want_grad:
         return values, None, extras
-    grads = _parameter_gradient(theta, v, g_psi[:, :, None] * chi.conj())
+    # g_U = g_psi chi^dag has rank one, so V^dag g_U V = (V^dag g_psi) a^dag
+    grads = _parameter_gradient(theta, v, (_dagger(v) @ g_psi[..., None]) * a.conj()[..., None, :])
     if not np.all(np.isfinite(grads)):
         raise FloatingPointError("parameter gradient is not finite")
     return values, grads, extras

@@ -5,9 +5,13 @@ them.  They belong to the numpy and BLAS build named in RECORDED_WITH; a
 change that is meant to move the numerics records them anew and states its
 drift.  The shot logs pin the search; the sweep, curve and tmi tables also
 pin the way back from a logged parameter row to its state.
+
+``PYTHONPATH=src python tests/test_golden_logs.py`` prints ``name sha256``
+for every case at the running build, each from a fresh directory.
 """
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,16 +26,16 @@ MERA_8 = ["mera", "--qubits", "8", "--seeds", "2", "--steps", "10"]
 
 GOLDEN = {
     "optimize": (["optimize", "--dims", "2,2,2,2", "--seeds", "4", "--steps", "50"],
-                 "54ba721023aa31004d794ca2e429a1cf180d18086ae78ededb75e0de99e42ebd"),
+                 "f37ff5ce31daa8bd6456404d540e9b80c182ab1bd6bee40a8698450a1d7d3a0c"),
     "optimize-penalty": (["optimize", "--dims", "2,2,2,2", "--seeds", "4", "--steps", "50", "--penalty"],
-                         "102da364be68c3458d1667c723f98e12f0199c3be9c5925d0dc82fd081a53a2d"),
-    "mera": (MERA_8, "79f804e9338cc9ca73cd4bf221c7b7ecb70d80f1f1af7e0768e296fa4a54e768"),
-    "optimize-3322": (OPTIMIZE_3322, "76b1d00f0f499d280ce06fc6dea2e278913aa6a1d00ce02fd600747c56d7c174"),
+                         "52630f409fddd4ed97182c139e966bfd88005698709b4b890dcafe4b49caefe6"),
+    "mera": (MERA_8, "b11c1e0ad95de7657921d411c3d96a8930ca219afcba1ff2d51672278f43bfad"),
+    "optimize-3322": (OPTIMIZE_3322, "434f00c975558052bc7cf3ca98b03c46584f226675d5d938b31b7d3d4d06e48c"),
 }
 
 GOLDEN_REPORTS = {
     "sweep": (["sweep", "--dims", "2,2,2,2", "--train-q", "0.5,1", "--seeds", "2", "--steps", "30"],
-              "sweep.csv", "788879f87a0be7ff6d321c947c195790be7f836626059e551bd49b23200c0825"),
+              "sweep.csv", "7a55e3b8b7ba6fd2103bce47d99c220fda4e7875a610881a0e926b80dfd13532"),
     "curve": (["curve", "--state", str(fixture_path("violation_3322.json"))],
               "curve.csv", "3a1b3e57947095c72add6bfefb71c56201b70fad33503df9eb08b2c95a7f1429"),
 }
@@ -52,41 +56,81 @@ def _this_build() -> str:
     return f"numpy {np.__version__}, {blas['name']} {blas['version']}"
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def _check(name: str, path, digest: str) -> None:
-    got = hashlib.sha256(path.read_bytes()).hexdigest()
+    got = _sha256(path)
     assert got == digest, (f"{name}: {path.name} has SHA-256 {got}, recorded as {digest} "
                            f"with {RECORDED_WITH}; this run has {_this_build()}")
 
 
+def _run(argv: list[str], out) -> None:
+    assert main(argv + ["--out", str(out)]) == 0
+
+
+def _shot_log(name: str, tmp):
+    _run(GOLDEN[name][0], tmp)
+    return tmp / "shots.jsonl"
+
+
+def _report(name: str, tmp):
+    argv, artifact, _ = GOLDEN_REPORTS[name]
+    _run(argv, tmp)
+    return tmp / artifact
+
+
+def _tmi_report(tmp):
+    _run(OPTIMIZE_3322, tmp / "log")
+    _run(["tmi", "--shots", str(tmp / "log" / "shots.jsonl"), "--threshold", "1"], tmp / "tmi")
+    return tmp / "tmi" / "tmi.csv"
+
+
+def _mera_report(name: str, tmp):
+    argv, artifact, _ = GOLDEN_MERA_REPORTS[name]
+    _run(MERA_8, tmp / "log")
+    _run(argv[:1] + ["--shots", str(tmp / "log" / "shots.jsonl")] + argv[1:], tmp / "r")
+    return tmp / "r" / artifact
+
+
+def _cases():
+    """(name, artifact maker taking a fresh directory, recorded digest) of every golden case."""
+    yield from ((n, partial(_shot_log, n), GOLDEN[n][1]) for n in GOLDEN)
+    yield from ((n, partial(_report, n), GOLDEN_REPORTS[n][2]) for n in GOLDEN_REPORTS)
+    yield "tmi", _tmi_report, TMI_3322
+    yield from ((n, partial(_mera_report, n), GOLDEN_MERA_REPORTS[n][2]) for n in GOLDEN_MERA_REPORTS)
+
+
 @pytest.mark.parametrize("name", GOLDEN)
 def test_golden_shot_log(tmp_path, name):
-    argv, digest = GOLDEN[name]
-    assert main(argv + ["--out", str(tmp_path)]) == 0
-    _check(name, tmp_path / "shots.jsonl", digest)
+    _check(name, _shot_log(name, tmp_path), GOLDEN[name][1])
 
 
 @pytest.mark.parametrize("name", GOLDEN_REPORTS)
 def test_golden_report(tmp_path, name):
-    argv, artifact, digest = GOLDEN_REPORTS[name]
-    assert main(argv + ["--out", str(tmp_path)]) == 0
-    _check(name, tmp_path / artifact, digest)
+    _check(name, _report(name, tmp_path), GOLDEN_REPORTS[name][2])
 
 
 def test_golden_tmi_report(tmp_path, capsys):
     """At --threshold 1 the table keeps both shots of the 3,3,2,2 log; their gaps are positive."""
-    log = tmp_path / "log"
-    assert main(OPTIMIZE_3322 + ["--out", str(log)]) == 0
-    argv = ["tmi", "--shots", str(log / "shots.jsonl"), "--threshold", "1", "--out", str(tmp_path / "tmi")]
-    capsys.readouterr()
-    assert main(argv) == 0
+    path = _tmi_report(tmp_path)
     assert capsys.readouterr().out.endswith("(2 shots with gap <= 1.0)\n")
-    _check("tmi", tmp_path / "tmi" / "tmi.csv", TMI_3322)
+    _check("tmi", path, TMI_3322)
 
 
 @pytest.mark.parametrize("name", GOLDEN_MERA_REPORTS)
 def test_golden_mera_report(tmp_path, name):
-    argv, artifact, digest = GOLDEN_MERA_REPORTS[name]
-    log = tmp_path / "log"
-    assert main(MERA_8 + ["--out", str(log)]) == 0
-    assert main(argv[:1] + ["--shots", str(log / "shots.jsonl")] + argv[1:] + ["--out", str(tmp_path / "r")]) == 0
-    _check(name, tmp_path / "r" / artifact, digest)
+    _check(name, _mera_report(name, tmp_path), GOLDEN_MERA_REPORTS[name][2])
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+    from pathlib import Path
+
+    for name, make, _ in _cases():
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            digest = _sha256(make(Path(tmp)))
+        print(name, digest)

@@ -4,10 +4,12 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from entgap import objective
 from entgap.entropy import CLIP_EPS, EntropyConfig, max_tmi, von_neumann
 from entgap.objective import (
     GapProfile,
     ObjectiveConfig,
+    _cached_state_objective,
     _entropy_grad_diag,
     _StateObjective,
     _generator,
@@ -336,6 +338,32 @@ def test_gradient_at_near_degenerate_generator(split):
         assert abs(float(grad @ r) - want) < 1e-11
 
 
+@pytest.mark.parametrize("sites", [(2, 2, 2, 2), (3, 3, 2, 2)])
+def test_parameter_gradient_at_fully_degenerate_spectrum(monkeypatch, sites):
+    # at x = 0, H = 0: every theta is equal and the exp adjoint's sinc matrix is
+    # all ones.  There psi is the product state chi, whose entropies go as
+    # t^2 log t^2, so the gap has no difference quotient good to 1e-11; the
+    # linear state objective Re <c, psi> stands in and keeps the whole unitary
+    # path, the forward step and the rank-one adjoint
+    dims = Dims(sites)
+    cfg = ObjectiveConfig(dims, default_partition(dims))
+    rng = np.random.default_rng(len(sites) * dims.total)
+    c = rng.standard_normal((1, dims.total)) + 1j * rng.standard_normal((1, dims.total))
+    c /= np.linalg.norm(c)
+
+    def linear(amps, want_grad=True):
+        return (amps @ c[0].conj()).real, np.broadcast_to(c, amps.shape) if want_grad else None, {}
+
+    monkeypatch.setattr(objective, "_cached_state_objective", lambda config: linear)
+    x = np.zeros(dims.total * (dims.total + 1))
+    _, grad, _ = objective_value_and_gradient(x, cfg)
+    for _ in range(3):
+        r = rng.standard_normal(len(x))
+        r /= np.linalg.norm(r)
+        want = richardson_slope(lambda t: objective_value(x + t * r, cfg))
+        assert abs(float(grad @ r) - want) < 1e-11
+
+
 def _check_penalized_gradient_hinge_active(sites, rng):
     # steer to a GHZ-like region where Max(I3) ~ ln2 > 0 so the hinge is on;
     # on qutrits the GHZ state lives in their first two levels
@@ -425,6 +453,19 @@ def test_state_objective_stack_rows_equal_single_states(rng):
     for j in range(len(stack)):
         value, g, ext = obj(stack[j:j + 1])  # state j alone, as a stack of one
         assert value[0] == values[j] and np.array_equal(g[0], g_psi[j])
+        assert {k: v[0] for k, v in ext.items()} == {k: v[j] for k, v in extras.items()}
+
+
+def test_state_from_params_is_the_state_the_kernel_evaluates(rng):
+    # a logged record's state is rebuilt by state_from_params: the state objective
+    # must give it the values and extras the stacked search kernel gave its row
+    dims = Dims((3, 3, 2, 2))
+    cfg = ObjectiveConfig(dims, default_partition(dims), penalty_enabled=True)
+    x = np.stack([random_params(dims.total, rng) for _ in range(3)])
+    values, _, extras = stacked_value_and_gradient(x, cfg)
+    for j, row in enumerate(x):
+        value, _, ext = _cached_state_objective(cfg)(state_from_params(row, cfg).amplitudes[None], want_grad=False)
+        assert value[0] == values[j]
         assert {k: v[0] for k, v in ext.items()} == {k: v[j] for k, v in extras.items()}
 
 
